@@ -18,7 +18,8 @@ from .entropy import (Channel, JointDistribution, apply_channel,
                       marginal, mutual_information)
 from .protocol import (ProtocolConfig, SuccessProfile, biases,
                        concat_success_closed, concat_success_simulated,
-                       q_parity, single_copy_joint, success_profile)
+                       q_parity, single_copy_joint, success_profile,
+                       task_joint)
 from .scan import (BoundaryPoint, SliceSpec, boundary, classify_catalog,
                    default_slice, scan_slice, slice_point)
 
@@ -36,7 +37,7 @@ __all__ = [
     "mutual_information",
     "ProtocolConfig", "SuccessProfile", "biases", "concat_success_closed",
     "concat_success_simulated", "q_parity", "single_copy_joint",
-    "success_profile",
+    "success_profile", "task_joint",
     "BoundaryPoint", "SliceSpec", "boundary", "classify_catalog",
     "default_slice", "scan_slice", "slice_point",
     "__version__",

@@ -10,10 +10,13 @@ always the last party.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,8 +51,17 @@ def bit_tuples(width: int) -> Iterable[Bits]:
     return itertools.product((0, 1), repeat=width)
 
 
-def _parity(idx: int) -> int:
-    return bin(idx).count("1") & 1
+def _parity_table(width: int) -> np.ndarray:
+    idx = np.arange(2**width)
+    par = np.zeros(2**width, dtype=np.int64)
+    for shift in range(width):
+        par ^= (idx >> shift) & 1
+    return par
+
+
+# parity of the set bits of every joint input or outcome index
+PARITY = _parity_table(MAX_PARTIES)
+PARITY.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +196,9 @@ def validate(b: Behavior, atol: float = PROB_TOL) -> ValidationReport:
 def _parity_condition_box(parties: int, cond) -> Behavior:
     """Uniform box on the set {a : parity(a) == cond(x)}, weight 2^-(N-1)."""
     n = parties
-    t = np.zeros((2**n, 2**n))
-    for xi in range(2**n):
-        want = cond(index_to_tuple(xi, n))
-        for ai in range(2**n):
-            if _parity(ai) == want:
-                t[xi, ai] = 1.0 / 2 ** (n - 1)
-    return Behavior(n, t)
+    want = np.array([cond(x) for x in bit_tuples(n)])
+    hit = PARITY[None, :2**n] == want[:, None]
+    return Behavior(n, np.where(hit, 1.0 / 2 ** (n - 1), 0.0))
 
 
 def named_box(name: str, **params) -> Behavior:
@@ -287,7 +295,7 @@ def correlator(b: Behavior, x: Sequence[int]) -> float:
     """Full N-party correlator sum_a (-1)^(a1+...+aN) p(a|x)."""
     row = b.table[tuple_to_index(x)]
     n = b.parties
-    signs = np.array([1.0 if _parity(ai) == 0 else -1.0 for ai in range(2**n)])
+    signs = 1.0 - 2.0 * PARITY[:2**n]
     return float(row @ signs)
 
 
@@ -375,23 +383,88 @@ def to_json_obj(b: Behavior) -> dict:
     return {"parties": b.parties, "format": JSON_FORMAT, "table": table}
 
 
+def _bits_index(bits, n: int, key: str, row: int) -> int:
+    """Row index of one nsbox-v1 bit list: exactly n ints, each 0 or 1."""
+    if not isinstance(bits, list) or len(bits) != n:
+        raise StructureError(f"table entry {row}: {key} must list {n} bits, "
+                             f"got {bits!r}")
+    idx = 0
+    for v in bits:
+        if type(v) is not int or not 0 <= v <= 1:
+            raise StructureError(f"table entry {row}: {key} bits must be 0 "
+                                 f"or 1, got {bits!r}")
+        idx = (idx << 1) | v
+    return idx
+
+
+def _raise_row_error(rows: list, n: int) -> NoReturn:
+    """Raise StructureError naming the first malformed or repeated entry."""
+    seen = set()
+    for i, row in enumerate(rows):
+        if not isinstance(row, Mapping) or not {"x", "a", "p"} <= row.keys():
+            raise StructureError(f"table entry {i} must be an object with "
+                                 f"x, a and p")
+        key = (_bits_index(row["x"], n, "x", i),
+               _bits_index(row["a"], n, "a", i))
+        p = row["p"]
+        if type(p) not in (int, float) or not math.isfinite(p):
+            raise StructureError(f"table entry {i}: p must be a finite "
+                                 f"number, got {p!r}")
+        if key in seen:
+            raise StructureError(f"table entry {i} repeats x={row['x']} "
+                                 f"a={row['a']}")
+        seen.add(key)
+    raise StructureError("malformed table")
+
+
+@functools.cache
+def _bits_indices(n: int) -> dict[Bits, int]:
+    return {bits: i for i, bits in enumerate(bit_tuples(n))}
+
+
+def _table_entries(rows: list, n: int) -> tuple[np.ndarray, list]:
+    """(flat table index, p) of every nsbox-v1 entry.  The checks run over
+    all entries at once; _raise_row_error names the entry that failed."""
+    try:
+        bit_lists = (list(map(itemgetter("x"), rows))
+                     + list(map(itemgetter("a"), rows)))
+        ps = list(map(itemgetter("p"), rows))
+        # admits only length-n sequences whose items equal 0 or 1
+        idx = list(map(_bits_indices(n).__getitem__, map(tuple, bit_lists)))
+    except (TypeError, KeyError):
+        _raise_row_error(rows, n)
+    if (set(map(type, bit_lists)) - {list}
+            or set(map(type, itertools.chain.from_iterable(bit_lists))) - {int}
+            or set(map(type, ps)) - {int, float}
+            or not all(map(math.isfinite, ps))):
+        _raise_row_error(rows, n)  # also 1.0 and true, which pass the lookup
+    flat = np.array(idx, dtype=np.int64).reshape(2, -1)
+    flat = flat[0] * 2**n + flat[1]
+    if len(set(flat.tolist())) != len(rows):
+        _raise_row_error(rows, n)
+    return flat, ps
+
+
 def from_json_obj(obj: Mapping) -> Behavior:
+    """Parse a strict nsbox-v1 object.  Omitted entries are 0; bits must be
+    the ints 0 or 1, each (x, a) may appear once and p must be a finite
+    number.  Every failure raises StructureError."""
     if not isinstance(obj, Mapping):
         raise StructureError("behavior JSON must be an object")
     if obj.get("format") != JSON_FORMAT:
         raise StructureError(f"unsupported behavior format {obj.get('format')!r}")
     n = obj.get("parties")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise StructureError("parties must be an integer")
     if not 2 <= n <= MAX_PARTIES:
         raise StructureError(f"parties must be in [2, {MAX_PARTIES}], got {n}")
-    t = np.zeros((2**n, 2**n))  # omitted entries default to 0
-    for row in obj.get("table", ()):
-        x, a, p = row["x"], row["a"], row["p"]
-        if len(x) != n or len(a) != n:
-            raise StructureError(f"entry with wrong arity: x={x} a={a}")
-        t[tuple_to_index(x), tuple_to_index(a)] = float(p)
-    return Behavior(n, t)
+    rows = obj.get("table", [])
+    if not isinstance(rows, list):
+        raise StructureError("table must be a JSON array")
+    flat, p = _table_entries(rows, n)
+    t = np.zeros(4**n)  # omitted entries default to 0
+    t[flat] = p
+    return Behavior(n, t.reshape(2**n, 2**n))
 
 
 def behavior_from_entries(parties: int, entries: Mapping[tuple[Bits, Bits], float],
@@ -442,6 +515,8 @@ def load_catalog(path) -> list[CatalogEntry]:
         raise StructureError("catalog must be a JSON array")
     entries = []
     for i, item in enumerate(data):
+        if not isinstance(item, Mapping):
+            raise StructureError(f"catalog entry {i} is not an object")
         if "class" not in item or "behavior" not in item:
             raise StructureError(f"catalog entry {i} lacks class/behavior keys")
         beh = from_json_obj(item["behavior"])

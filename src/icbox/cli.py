@@ -32,13 +32,20 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def parse_box_uri(uri: str, parties: int | None = None) -> Behavior:
+def parse_box_uri(uri: str, parties: int | None = None, *,
+                  check: bool = True) -> Behavior:
     """Resolve a box URI; an explicit --parties must agree with any count
-    embedded in the URI."""
+    embedded in the URI.  A file: box must pass validation unless check is
+    False (the commands that report validity load it unchecked)."""
     if uri.startswith("file:"):
         b = behaviors.load_behavior(uri[len("file:"):])
         if parties is not None and parties != b.parties:
             raise ValueError(f"--parties {parties} but file has {b.parties}")
+        if check:
+            report = behaviors.validate(b)
+            if not report.ok:
+                raise ValueError(f"{uri} is not a valid box:\n"
+                                 + report.summary())
         return b
     if not uri.startswith("builtin:"):
         raise ValueError(f"box URI must start with builtin: or file:, "
@@ -226,7 +233,7 @@ def _report_line(rep: criteria.CriterionReport) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    box = parse_box_uri(args.box, args.parties)
+    box = parse_box_uri(args.box, args.parties, check=False)
     report = behaviors.validate(box)
     with _Output(args.out) as out:
         out.write(report.summary() + "\n")
@@ -234,7 +241,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_box(args: argparse.Namespace) -> int:
-    box = parse_box_uri(args.box, args.parties)
+    box = parse_box_uri(args.box, args.parties, check=False)
     with _Output(args.out) as out:
         if args.emit:
             json.dump(behaviors.to_json_obj(box), out, indent=2,

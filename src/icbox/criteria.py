@@ -1,7 +1,7 @@
 """Information-causality style criteria evaluated on boxes and task joints.
 
 Entropic criteria (ic-bipartite, ic-bipartite-strong, ic-multi, ic-noisy)
-read mutual informations off the exact task joint distribution; the
+read mutual informations off the exact task joint (protocol.task_joint); the
 quadratic criteria (ic-multicopy, uffink-2, uffink-3) and the concatenated
 success bound (ic-success-bound) are closed forms in the box biases and
 correlators.  Every evaluator returns a CriterionReport with lhs, rhs,
@@ -17,11 +17,13 @@ from typing import Any
 
 import numpy as np
 
-from .behaviors import Behavior, relabeling_index_maps
+from .behaviors import PARITY, Behavior, relabeling_index_maps
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
 from .protocol import (ProtocolConfig, biases, guess_name, message_name,
-                       noisy_message_name, single_copy_joint, x_bit_name)
+                       noisy_message_name, task_joint, x_bit_name)
+# not called here: the benchmark's tracer self-test reads this binding
+from .protocol import single_copy_joint  # noqa: F401
 
 VIOLATION_TOL = 1e-9
 
@@ -217,8 +219,7 @@ def _correlators(flat_tables: np.ndarray, parties: int) -> np.ndarray:
     """Full-party correlators C_x for each flattened table row."""
     n_in = 2 ** parties
     tables = flat_tables.reshape(-1, n_in, n_in)
-    signs = np.array([1.0 if bin(o).count("1") % 2 == 0 else -1.0
-                      for o in range(n_in)])
+    signs = 1.0 - 2.0 * PARITY[:n_in]
     return tables @ signs
 
 
@@ -262,19 +263,12 @@ def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     party acts as receiver, via party permutations).  Used for catalog
     classification, where class representatives carry arbitrary labelings."""
     n = b.parties
-    n_in = 2 ** n
-    w_one = np.zeros((n_in, n_in))
-    w_two = np.zeros((n_in, n_in))
-    for x in range(n_in):
-        xs, x_n = x >> 1, x & 1
-        target = 0 if x_n == 0 else bin(xs).count("1") & 1
-        for a in range(n_in):
-            hit = (bin(a).count("1") & 1) == target
-            val = (1.0 if hit else -1.0) / 2 ** (n - 1)
-            if x_n == 0:
-                w_one[x, a] = val
-            else:
-                w_two[x, a] = val
+    x = np.arange(2 ** n)[:, None]
+    x_n = x & 1
+    target = PARITY[x >> 1] * x_n  # parity target: 0 at x_N = 0
+    val = np.where(PARITY[:2 ** n] == target, 1.0, -1.0) / 2 ** (n - 1)
+    w_one = np.where(x_n == 0, val, 0.0)
+    w_two = np.where(x_n == 1, val, 0.0)
     variants = _orbit_tables(b)
     e_one = variants @ w_one.ravel()
     e_two = variants @ w_two.ravel()
@@ -312,7 +306,7 @@ def eval_noisy_ic(b: Behavior, epsilon: float,
     for k in senders:
         cfg = ProtocolConfig(parties=b.parties, channel=channel,
                              input_distribution=input_distribution)
-        joint = single_copy_joint(b, cfg, noisy_senders=(k,))
+        joint = task_joint(b, cfg, noisy_senders=(k,))
         bits = _joint_bits(joint, k)
         terms = _multi_lhs_terms(joint, senders, bits, pick=[k])
         cap_k = mutual_information(joint, message_name(k),
@@ -344,14 +338,14 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
             raise ValueError(f"{criterion_id} needs a 2-party behavior, "
                              f"got {b.parties} parties")
         cfg = ProtocolConfig(parties=2, input_distribution=input_distribution)
-        joint = single_copy_joint(b, cfg)
+        joint = task_joint(b, cfg)
         if criterion_id == "ic-bipartite":
             return eval_bipartite_ic(joint)
         return eval_stronger_bipartite(joint)
     if criterion_id == "ic-multi":
         cfg = ProtocolConfig(parties=b.parties,
                              input_distribution=input_distribution)
-        return eval_multipartite_ic(single_copy_joint(b, cfg))
+        return eval_multipartite_ic(task_joint(b, cfg))
     if criterion_id == "ic-multicopy":
         return eval_multicopy(b)
     if criterion_id == "ic-success-bound":

@@ -13,29 +13,36 @@ level (z_l at level l, root is level 1), and recovering the selected
 subtree's message XOR at each step leaves a guess for bit position
 1 + sum_l z_l 2^(K-l).
 
-single_copy_joint returns the full joint distribution of the run.  The two
-guesses G_1, G_2 live on one sample space by drawing the receiver's outcome
-for each choice from p(c | a_senders, x_senders, x_N = choice), which
-no-signaling makes well defined; any marginal involving a single G_i equals
-the run distribution conditioned on J picking it, and those are the only
-marginals the criteria read.
+The two guesses G_1, G_2 live on one sample space by drawing the receiver's
+outcome for each choice from p(c | a_senders, x_senders, x_N = choice),
+which no-signaling makes well defined; any marginal involving a single G_i
+equals the run distribution conditioned on J picking it, and those are the
+only marginals the criteria read.
+
+task_joint is the distribution the criteria read: the input bits, the
+messages (and their channel outputs) and the two guesses, 2^(3(N-1)+2)
+atoms without a channel.  Given the input bits, (a, c_1, c_2, channel
+flips) and (M, M', G_1, G_2) determine each other, so every atom is one
+box weight and the table is a single scatter.  single_copy_joint builds
+the full run joint (box inputs and outcomes, choice J as well) by direct
+enumeration; it is kept as the test oracle for task_joint.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .behaviors import Behavior, index_to_tuple, tuple_to_index
+from .behaviors import PARITY, Behavior, index_to_tuple, tuple_to_index
 from .entropy import Channel, JointDistribution, marginal
 
 MAX_SIM_DEPTH = 3        # exact concatenation enumeration cap
 MAX_SIM_PARTIES = 4
-MAX_JOINT_VARS = 24      # dense single-copy joint capped at 2^24 atoms
+MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
 
 CHOICE = "J"
 
@@ -116,6 +123,105 @@ def _split_tables(b: Behavior) -> tuple[np.ndarray, np.ndarray]:
     return full, send
 
 
+def _resolve_noisy(b: Behavior, cfg: ProtocolConfig | None,
+                   noisy_senders: Sequence[int] | None
+                   ) -> tuple[ProtocolConfig, tuple[int, ...]]:
+    """The config (default: uniform inputs, no channel) and the sorted
+    senders whose messages cross the channel."""
+    if cfg is None:
+        cfg = ProtocolConfig(parties=b.parties)
+    if cfg.parties != b.parties:
+        raise ValueError(f"config is for {cfg.parties} parties, behavior has {b.parties}")
+    senders = range(1, b.parties)
+    if cfg.channel is None:
+        if noisy_senders:
+            raise ValueError("noisy_senders given without a channel")
+        return cfg, ()
+    noisy = tuple(sorted(senders if noisy_senders is None else noisy_senders))
+    if any(k not in senders for k in noisy):
+        raise ValueError(f"noisy_senders must be senders 1..{b.parties - 1}")
+    return cfg, noisy
+
+
+def task_joint_names(parties: int, noisy: Sequence[int] = ()) -> list[str]:
+    """Variables of task_joint, in axis order."""
+    return (x_bit_names(parties)
+            + [message_name(k) for k in range(1, parties)]
+            + [noisy_message_name(k) for k in noisy]
+            + [guess_name(1), guess_name(2)])
+
+
+@cache
+def _task_layout(n_send: int, noisy: tuple[int, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, atom): xs[X] is the senders' box input for input-bit index X,
+    and atom, raveled from [X, a, c_1, c_2, f], the flat task_joint index
+    that the run with sender outcomes a, receiver outcomes c_i and channel
+    flips f lands on.  Both are shared between calls, so read-only."""
+    n_x, n_msg, n_flip = 4 ** n_send, 2 ** n_send, 2 ** len(noisy)
+    x_idx = np.arange(n_x)
+    first = np.zeros(n_x, dtype=np.int64)
+    second = np.zeros(n_x, dtype=np.int64)
+    for k in range(n_send):  # X_1^k, X_2^k are bits 2(ns-k)-1, 2(ns-k)-2
+        first = (first << 1) | ((x_idx >> (2 * (n_send - k) - 1)) & 1)
+        second = (second << 1) | ((x_idx >> (2 * (n_send - k) - 2)) & 1)
+    msgs = first[:, None] ^ np.arange(n_msg)[None, :]        # [X, a]
+    noisy_bits = np.zeros_like(msgs)                         # M_k, k noisy
+    for k in noisy:
+        noisy_bits = (noisy_bits << 1) | ((msgs >> (n_send - k)) & 1)
+    flips = np.arange(n_flip)
+    # the receiver decodes from M_k' = M_k ⊕ f_k for noisy senders
+    decode = PARITY[msgs][:, :, None] ^ PARITY[flips][None, None, :]
+    head = ((x_idx[:, None, None] * n_msg + msgs[:, :, None]) * n_flip
+            + (noisy_bits[:, :, None] ^ flips[None, None, :]))  # [X, a, f]
+    c = np.arange(2)
+    g_one = decode[:, :, None, None, :] ^ c[:, None, None]
+    g_two = decode[:, :, None, None, :] ^ c[:, None]
+    atom = ((head[:, :, None, None, :] * 2 + g_one) * 2 + g_two).ravel()
+    xs = first ^ second
+    for arr in (xs, atom):
+        arr.setflags(write=False)
+    return xs, atom
+
+
+def task_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
+               noisy_senders: Sequence[int] | None = None) -> JointDistribution:
+    """Exact joint of the input bits, messages and guesses of a single run.
+
+    Variables (task_joint_names): X_i^k, M_k, M_kp for the senders behind
+    the channel, G_1, G_2.  This is the marginal of single_copy_joint on
+    those variables.  With a channel configured, noisy_senders selects which
+    messages pass through it (default: all of them); the guesses are
+    decoded from M_kp for those senders and from M_k for the rest.
+
+    The weight of the run (X, a, c_1, c_2, f) is
+    w_X p(a, c_1 | x, 0) p(a, c_2 | x, 1) / p(a | x) times the flip weights,
+    where p(a | x) is the senders' marginal, well defined for a
+    no-signaling box.
+    """
+    cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
+    n_send = b.parties - 1
+    full, send = _split_tables(b)
+    xs, atom = _task_layout(n_send, noisy)
+
+    rows = full[xs]                                          # [X, v, a, c]
+    p_send = send[xs]                                        # [X, a]
+    inv = np.divide(1.0, p_send, out=np.zeros_like(p_send),
+                    where=p_send > 0.0)
+    w = ((rows[:, 0, :, :, None] * rows[:, 1, :, None, :])
+         * (inv * _input_weights(cfg, b.parties).reshape(-1, 1))[:, :, None, None])
+    if noisy:
+        eps = cfg.channel.epsilon
+        flip_w = np.ones(1)
+        for _ in noisy:
+            flip_w = np.multiply.outer(flip_w, (1.0 - eps, eps)).ravel()
+        w = w[..., None] * flip_w
+    probs = np.empty(atom.size)
+    probs[atom] = w.ravel()
+    return JointDistribution(tuple(task_joint_names(b.parties, noisy)),
+                             probs.reshape((2,) * (3 * n_send + 2 + len(noisy))))
+
+
 def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
                       noisy_senders: Sequence[int] | None = None) -> JointDistribution:
     """Exact joint of inputs, box data, messages, choice and guesses.
@@ -123,23 +229,13 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
     Variables: X_i^k, x_k, a_k, c_1, c_2, M_k, (M_kp for senders behind the
     channel), J, G_1, G_2.  With a channel configured, noisy_senders selects
     which messages pass through it (default: all of them); the guesses are
-    decoded from M_kp for those senders and from M_k for the rest.
+    decoded from M_kp for those senders and from M_k for the rest.  Built by
+    enumeration and capped at MAX_JOINT_VARS variables; it is the test
+    oracle for task_joint, which the criteria use.
     """
-    if cfg is None:
-        cfg = ProtocolConfig(parties=b.parties)
-    if cfg.parties != b.parties:
-        raise ValueError(f"config is for {cfg.parties} parties, behavior has {b.parties}")
+    cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
     n_parties = b.parties
     senders = list(range(1, n_parties))
-
-    if cfg.channel is None:
-        if noisy_senders:
-            raise ValueError("noisy_senders given without a channel")
-        noisy: tuple[int, ...] = ()
-    else:
-        noisy = tuple(sorted(senders if noisy_senders is None else noisy_senders))
-        if any(k not in senders for k in noisy):
-            raise ValueError(f"noisy_senders must be senders 1..{n_parties - 1}")
 
     names = (x_bit_names(n_parties)
              + [sender_input_name(k) for k in senders]
@@ -224,7 +320,7 @@ class SuccessProfile:
 
 
 def success_profile(b: Behavior, cfg: ProtocolConfig | None = None) -> SuccessProfile:
-    joint = single_copy_joint(b, cfg)
+    joint = task_joint(b, cfg)
     parties = b.parties
     out = []
     for i in (1, 2):
@@ -248,11 +344,12 @@ def biases(b: Behavior) -> tuple[float, float]:
     """
     full, _ = _split_tables(b)
     n_send = b.parties - 1
+    par = PARITY[:2 ** n_send].tolist()
     p_hit = [0.0, 0.0]
     for xs in range(2 ** n_send):
-        want = (0, bin(xs).count("1") & 1)  # parity target for x_N = 0, 1
+        want = (0, par[xs])  # parity target for x_N = 0, 1
         for as_idx in range(2 ** n_send):
-            a_par = bin(as_idx).count("1") & 1
+            a_par = par[as_idx]
             for v in (0, 1):
                 c = want[v] ^ a_par
                 p_hit[v] += full[xs, v, as_idx, c]
@@ -306,6 +403,7 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     ns = b.parties - 1
     n_msgs = 2 ** ns
     u_bits = 1.0 / n_msgs  # one uniform sender-bit vector
+    par = PARITY[:n_msgs].tolist()
 
     msg_cache: dict[int, np.ndarray] = {}
 
@@ -343,14 +441,14 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
         out = np.zeros((n_msgs, 2))
         if level == depth:
             for f_idx in range(n_msgs):
-                par_f = bin(f_idx).count("1") & 1
+                par_f = par[f_idx]
                 for s_idx in range(n_msgs):
                     xs = f_idx ^ s_idx
                     w = u_bits * u_bits
-                    target = par_f if zeta == 0 else bin(s_idx).count("1") & 1
+                    target = par_f if zeta == 0 else par[s_idx]
                     for a_idx in range(n_msgs):
                         m_out = f_idx ^ a_idx
-                        par_m = bin(m_out).count("1") & 1
+                        par_m = par[m_out]
                         for c in (0, 1):
                             p = full[xs, zeta, a_idx, c]
                             if p != 0.0:
@@ -359,7 +457,7 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
             sel = path_dist(level + 1, rest[1:])
             off = msg_dist(level + 1)
             for m_sel in range(n_msgs):
-                par_sel = bin(m_sel).count("1") & 1
+                par_sel = par[m_sel]
                 for r_sel in (0, 1):
                     w1 = sel[m_sel, r_sel]
                     if w1 == 0.0:
@@ -372,7 +470,7 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
                         xs = m_sel ^ m_off
                         for a_idx in range(n_msgs):
                             m_out = m_left ^ a_idx
-                            par_m = bin(m_out).count("1") & 1
+                            par_m = par[m_out]
                             for c in (0, 1):
                                 p = full[xs, zeta, a_idx, c]
                                 if p != 0.0:

@@ -214,6 +214,28 @@ def test_from_json_rejections():
         bh.from_json_obj([1, 2, 3])
 
 
+@pytest.mark.parametrize("change", [
+    {"x": [2, 0]}, {"a": [0, -1]}, {"x": [0, 1.0]}, {"a": [True, 0]},
+    {"x": "00"}, {"p": "0.5"}, {"p": None}, {"p": float("nan")},
+    {"p": float("inf")}, {"p": True},
+])
+def test_from_json_strict_rows(change):
+    obj = bh.to_json_obj(bh.named_box("pr"))
+    obj["table"][0] = {**obj["table"][0], **change}
+    with pytest.raises(bh.StructureError):
+        bh.from_json_obj(obj)
+
+
+def test_from_json_rejects_repeated_entries_and_non_rows():
+    obj = bh.to_json_obj(bh.named_box("pr"))
+    repeat = dict(obj, table=obj["table"] + [obj["table"][0]])
+    with pytest.raises(bh.StructureError, match="repeats"):
+        bh.from_json_obj(repeat)
+    for table in ([[0, 0]], [{"x": [0, 0], "a": [0, 0]}], {"x": [0, 0]}):
+        with pytest.raises(bh.StructureError):
+            bh.from_json_obj(dict(obj, table=table))
+
+
 def test_behavior_from_entries():
     entries = {(x, a): p for x, a, p in bh.named_box("pr").entries()}
     b = bh.behavior_from_entries(2, entries)
@@ -240,6 +262,13 @@ def test_load_catalog_errors(tmp_path):
     obj = bh.to_json_obj(bh.Behavior(2, t))
     path.write_text(json.dumps([{"class": 9, "behavior": obj}]))
     with pytest.raises(ValueError, match="class 9"):
+        bh.load_catalog(path)
+
+
+def test_load_catalog_rejects_non_object_entries(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(bh.StructureError, match="entry 0"):
         bh.load_catalog(path)
 
 

@@ -241,3 +241,48 @@ def test_file_uri_with_saved_behavior(tmp_path, capsys):
     code, out, _ = run(capsys, "protocol", "--box", f"file:{path}")
     assert code == 0
     assert out.splitlines()[0] == "E_I=0.6 E_II=0.6"
+
+
+def _signaling_box_file(tmp_path):
+    # receiver output copies a sender input: a2 = x1
+    rows = [{"x": [x1, x2], "a": [0, x1], "p": 1.0}
+            for x1 in (0, 1) for x2 in (0, 1)]
+    path = tmp_path / "signaling.json"
+    path.write_text(json.dumps({"format": "nsbox-v1", "parties": 2,
+                                "table": rows}))
+    return path
+
+
+def test_file_boxes_are_validated_on_load(tmp_path, capsys):
+    path = _signaling_box_file(tmp_path)
+    for crit in ("ic-bipartite", "ic-multi"):
+        code, out, err = run(capsys, "eval", "--box", f"file:{path}",
+                             "--criterion", crit)
+        assert code == 2 and out == ""
+        assert "no-signaling" in err
+    code, _, err = run(capsys, "protocol", "--box", f"file:{path}")
+    assert code == 2 and "no-signaling" in err
+    # the commands that report validity still load the box
+    code, out, _ = run(capsys, "box", "--box", f"file:{path}")
+    assert code == 0 and out.endswith("valid=false\n")
+
+
+@pytest.mark.parametrize("rows", [
+    [{"x": [2, 0], "a": [0, 0], "p": 1.0}],
+    [{"x": [0, 0], "a": [0, 0], "p": float("nan")}],
+    [{"x": [0, 0], "a": [0, 0], "p": 0.5}] * 2,
+])
+def test_malformed_box_file_exits_2(tmp_path, capsys, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "nsbox-v1", "parties": 2,
+                                "table": rows}))
+    code, out, err = run(capsys, "box", "--box", f"file:{path}")
+    assert code == 2 and out == "" and err.startswith("error: table entry")
+
+
+def test_malformed_catalog_exits_2(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "classify", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert "catalog entry 0 is not an object" in err
