@@ -4,9 +4,8 @@ task: box construction and validation, entropy engine, task simulation
 parameter-slice scans."""
 
 from .behaviors import (Behavior, CatalogEntry, StructureError,
-                        ValidationReport, behavior_from_entries, correlator,
-                        load_behavior, load_catalog, mix, named_box,
-                        save_behavior, validate)
+                        ValidationReport, correlator, load_behavior,
+                        load_catalog, mix, named_box, save_behavior, validate)
 from .criteria import (CRITERION_IDS, CriterionReport, eval_bipartite_ic,
                        eval_multicopy, eval_multipartite_ic, eval_noisy_ic,
                        eval_stronger_bipartite, eval_success_bound,
@@ -18,8 +17,7 @@ from .entropy import (Channel, JointDistribution, apply_channel,
                       marginal, mutual_information)
 from .protocol import (ProtocolConfig, SuccessProfile, biases,
                        concat_success_closed, concat_success_simulated,
-                       q_parity, single_copy_joint, success_profile,
-                       task_joint)
+                       single_copy_joint, success_profile, task_joint)
 from .scan import (BoundaryPoint, SliceSpec, boundary, classify_catalog,
                    default_slice, scan_slice, slice_point)
 
@@ -27,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Behavior", "CatalogEntry", "StructureError", "ValidationReport",
-    "behavior_from_entries", "correlator", "load_behavior", "load_catalog",
-    "mix", "named_box", "save_behavior", "validate",
+    "correlator", "load_behavior", "load_catalog", "mix", "named_box",
+    "save_behavior", "validate",
     "CRITERION_IDS", "CriterionReport", "eval_bipartite_ic", "eval_multicopy",
     "eval_multipartite_ic", "eval_noisy_ic", "eval_stronger_bipartite",
     "eval_success_bound", "eval_uffink", "evaluate", "multicopy_orbit_max",
@@ -36,8 +34,8 @@ __all__ = [
     "capacity", "cond_mutual_information", "marginal",
     "mutual_information",
     "ProtocolConfig", "SuccessProfile", "biases", "concat_success_closed",
-    "concat_success_simulated", "q_parity", "single_copy_joint",
-    "success_profile", "task_joint",
+    "concat_success_simulated", "single_copy_joint", "success_profile",
+    "task_joint",
     "BoundaryPoint", "SliceSpec", "boundary", "classify_catalog",
     "default_slice", "scan_slice", "slice_point",
     "__version__",

@@ -302,25 +302,49 @@ def correlator(b: Behavior, x: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # relabelings (used by the Uffink orbit and catalog classification)
 
+def _source_index(n: int, perm: Sequence[int], flip=0, beta=0,
+                  alpha=0) -> np.ndarray:
+    """Flat source index of every entry of a relabeled N-party table.
+
+    The relabeled behavior's party i is the source's party perm[i]; then
+    its inputs are flipped, x -> x ⊕ flip, and its outcomes mapped
+    a -> a ⊕ beta ⊕ (alpha & x).  flip, beta and alpha are party bitmasks
+    (party 1 the most significant bit), ints or integer arrays that
+    broadcast to a leading shape S; the result has shape S + (4^N,) and the
+    relabeled table is table.ravel()[result].
+    """
+    size = 2 ** n
+    idx = np.arange(size)
+    moved = np.zeros(size, dtype=np.int64)  # idx in the source party order
+    for i, p in enumerate(perm):
+        moved |= ((idx >> (n - 1 - i)) & 1) << (n - 1 - p)
+    x = idx[:, None]
+    src = (moved[x ^ flip] << n) | moved[idx ^ beta ^ (alpha & x)]
+    return src.reshape(*src.shape[:-2], size * size)
+
+
+def _relabeled(b: Behavior, src: np.ndarray) -> Behavior:
+    return Behavior(b.parties, b.table.ravel()[src].reshape(b.table.shape))
+
+
+def _bitmask(bits: Sequence[int], n: int) -> int:
+    if len(bits) != n:
+        raise ValueError(f"need one bit per party ({n}), got {len(bits)}")
+    return tuple_to_index(bits)
+
+
 def permute_parties(b: Behavior, perm: Sequence[int]) -> Behavior:
     """Behavior whose party i is b's party perm[i] (perm is 0-based)."""
     n = b.parties
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n-1}")
-    tens = b.table.reshape((2,) * (2 * n))
-    axes = [*perm, *(n + p for p in perm)]
-    out = np.ascontiguousarray(tens.transpose(axes)).reshape(2**n, 2**n)
-    return Behavior(n, out)
+    return _relabeled(b, _source_index(n, perm))
 
 
 def flip_inputs(b: Behavior, mask: Sequence[int]) -> Behavior:
     """Relabel inputs x_k -> x_k ⊕ mask[k]."""
     n = b.parties
-    tens = b.table.reshape((2,) * (2 * n))
-    for k, m in enumerate(mask):
-        if m & 1:
-            tens = np.flip(tens, axis=k)
-    return Behavior(n, np.ascontiguousarray(tens).reshape(2**n, 2**n))
+    return _relabeled(b, _source_index(n, range(n), flip=_bitmask(mask, n)))
 
 
 def relabel_outputs(b: Behavior, offsets: Sequence[int],
@@ -328,14 +352,8 @@ def relabel_outputs(b: Behavior, offsets: Sequence[int],
     """Relabel outputs a_k -> a_k ⊕ offsets[k] ⊕ input_conditioned[k]*x_k."""
     n = b.parties
     alpha = input_conditioned or (0,) * n
-    t = np.empty_like(b.table)
-    for xi in range(2**n):
-        x = index_to_tuple(xi, n)
-        for ai in range(2**n):
-            a = index_to_tuple(ai, n)
-            src = tuple((a[k] ^ (offsets[k] & 1) ^ ((alpha[k] & 1) & x[k])) for k in range(n))
-            t[xi, ai] = b.table[xi, tuple_to_index(src)]
-    return Behavior(n, t)
+    return _relabeled(b, _source_index(n, range(n), beta=_bitmask(offsets, n),
+                                       alpha=_bitmask(alpha, n)))
 
 
 def relabeling_index_maps(parties: int) -> np.ndarray:
@@ -344,32 +362,15 @@ def relabeling_index_maps(parties: int) -> np.ndarray:
     Row g maps new flat index (x*2^N + a) to the source flat index, so the
     relabeled table is table.ravel()[maps[g]].  G = N! * 2^N * 4^N covers all
     party permutations, input flips and per-party output maps
-    a -> a ⊕ β ⊕ αx.  For N=3 that is 6*8*64 = 3072 group elements.
+    a -> a ⊕ β ⊕ αx, in the order (permutation, flip, β, α), the last
+    fastest.  For N=3 that is 6*8*64 = 3072 group elements.
     """
     n = parties
-    tracer = Behavior(n, _tracer_table(n))
-
-    def as_map(beh: Behavior) -> np.ndarray:
-        return np.rint(beh.table).astype(np.int64).ravel()
-
-    perm_maps = [as_map(permute_parties(tracer, p))
-                 for p in itertools.permutations(range(n))]
-    flip_maps = [as_map(flip_inputs(tracer, m)) for m in bit_tuples(n)]
-    out_maps = [as_map(relabel_outputs(tracer, beta, alpha))
-                for beta in bit_tuples(n) for alpha in bit_tuples(n)]
-
-    maps = []
-    for pm in perm_maps:
-        for fm in flip_maps:
-            pf = pm[fm]  # compose: apply perm, then flips
-            for om in out_maps:
-                maps.append(pf[om])
-    return np.asarray(maps, dtype=np.int64)
-
-
-def _tracer_table(n: int) -> np.ndarray:
-    # not a probability table; carries flat indices through the relabel ops
-    return np.arange(4**n, dtype=float).reshape(2**n, 2**n)
+    masks = np.arange(2 ** n)
+    flip, beta, alpha = (m[..., None, None] for m in np.ix_(masks, masks, masks))
+    return np.concatenate([
+        _source_index(n, perm, flip, beta, alpha).reshape(-1, 4 ** n)
+        for perm in itertools.permutations(range(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +468,6 @@ def from_json_obj(obj: Mapping) -> Behavior:
     return Behavior(n, t.reshape(2**n, 2**n))
 
 
-def behavior_from_entries(parties: int, entries: Mapping[tuple[Bits, Bits], float],
-                          fill_missing: bool = False) -> Behavior:
-    """Build from a {(x, a): p} mapping.
-
-    With fill_missing=False every one of the 2^N x 2^N entries must be
-    present, otherwise a StructureError is raised (missing entries are a
-    structural problem, not a constraint violation).
-    """
-    n = parties
-    t = np.full((2**n, 2**n), np.nan)
-    for (x, a), p in entries.items():
-        t[tuple_to_index(x), tuple_to_index(a)] = p
-    missing = int(np.isnan(t).sum())
-    if missing:
-        if not fill_missing:
-            raise StructureError(f"table is missing {missing} of {4**n} entries")
-        t = np.nan_to_num(t, nan=0.0)
-    return Behavior(n, t)
-
-
 def save_behavior(b: Behavior, path) -> None:
     with open(path, "w") as fh:
         json.dump(to_json_obj(b), fh, indent=1)
@@ -507,24 +488,33 @@ class CatalogEntry:
 def load_catalog(path) -> list[CatalogEntry]:
     """Load a JSON array of {"class": int, "behavior": {...}} entries.
 
-    Every behavior is validated; entries that fail validation abort the load.
+    Class ids must be integers, each listed once.  Every behavior is
+    validated; entries that fail validation abort the load.
     """
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise StructureError("catalog must be a JSON array")
     entries = []
+    seen = set()
     for i, item in enumerate(data):
         if not isinstance(item, Mapping):
             raise StructureError(f"catalog entry {i} is not an object")
         if "class" not in item or "behavior" not in item:
             raise StructureError(f"catalog entry {i} lacks class/behavior keys")
+        class_id = item["class"]
+        if type(class_id) is not int:
+            raise StructureError(f"catalog entry {i}: class must be an "
+                                 f"integer, got {class_id!r}")
+        if class_id in seen:
+            raise StructureError(f"catalog entry {i} repeats class {class_id}")
+        seen.add(class_id)
         beh = from_json_obj(item["behavior"])
         report = validate(beh)
         if not report.ok:
             raise ValueError(
-                f"catalog entry {i} (class {item['class']}) fails validation:\n"
+                f"catalog entry {i} (class {class_id}) fails validation:\n"
                 + report.summary()
             )
-        entries.append(CatalogEntry(int(item["class"]), beh))
+        entries.append(CatalogEntry(class_id, beh))
     return entries

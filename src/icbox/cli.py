@@ -4,7 +4,8 @@ Subcommands: validate, box, protocol, eval, concat, scan, boundary,
 classify.  Boxes are addressed by URI: builtin:pr, builtin:box45,
 builtin:white:<N>, builtin:detzero:<N>, builtin:isotropic:<E>:<N>, or
 file:<path> for a behavior JSON file.  An optional JSON config file mirrors
-the flags (dashes become underscores); explicit flags win.
+the flags: its keys are the flag names with dashes as underscores, and an
+explicit flag beats the config, which beats the built-in default.
 
 Exit codes: 0 success, 1 violation found under --fail-on-violation,
 2 input or usage error.  All numbers print with 12 significant digits.
@@ -13,20 +14,15 @@ Exit codes: 0 success, 1 violation found under --fail-on-violation,
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import functools
 import json
 import sys
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 from . import behaviors, criteria, protocol, scan
 from .behaviors import Behavior, StructureError, load_catalog, named_box
-
-_CONFIG_KEYS = {"box", "parties", "criterion", "depth", "z",
-                "epsilon_channel", "epsilon_slice", "grid_step", "out",
-                "catalog", "slice", "json", "fail_on_violation", "emit",
-                "closed", "tol"}
-
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -95,82 +91,55 @@ def _bundled_catalog_path() -> str:
     return str(resources.files("icbox").joinpath("data/example_catalog.json"))
 
 
-def _build_parser(config: dict[str, Any] | None = None) -> argparse.ArgumentParser:
+# every flag by its destination, which is also its config key
+_FLAGS: dict[str, dict[str, Any]] = {
+    "box": {"help": "box URI (builtin:... or file:<path>)"},
+    "parties": {"type": int},
+    "criterion": {"action": "append",
+                  "help": "criterion id (repeatable where sensible)"},
+    "depth": {"type": int},
+    "z": {"help": "receiver path bits, e.g. 01"},
+    "epsilon_channel": {"type": float},
+    "out": {"help": "output path (default stdout)"},
+    "json": {"action": "store_true"},
+    "fail_on_violation": {"action": "store_true"},
+    "emit": {"action": "store_true", "help": "write the behavior as JSON"},
+    "closed": {"action": "store_true",
+               "help": "use the closed form in the box biases instead of "
+                       "exact enumeration"},
+    "slice": {},
+    "grid_step": {"type": float},
+    "epsilon_slice": {"type": float},
+    "tol": {"type": float},
+    "catalog": {"help": "catalog JSON path (default: bundled partial "
+                        "catalog)"},
+}
+
+# omitted flags default to None (off) unless listed here
+_DEFAULTS = {"slice": "default", "grid_step": scan.DEFAULT_GRID_STEP,
+             "tol": scan.BISECTION_TOL}
+_REQUIRED = {"box", "epsilon_slice"}
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers, built once.  Omitted flags
+    stay off the namespace, so main can fill them from the config."""
     parser = argparse.ArgumentParser(
-        prog="icbox",
+        prog="icbox", argument_default=argparse.SUPPRESS,
         description="Validate no-signaling boxes, run the XOR guessing task "
                     "on them, and evaluate information-causality criteria.")
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, *flags: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    commands = {}
+    for name, (handler, flags) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(
+            name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help=argparse.SUPPRESS)
-        if "box" in flags:
-            p.add_argument("--box", required=config is None or
-                           "box" not in config,
-                           help="box URI (builtin:... or file:<path>)")
-            p.add_argument("--parties", type=int)
-        if "criterion" in flags:
-            p.add_argument("--criterion", action="append",
-                           help="criterion id (repeatable where sensible)")
-        if "depth" in flags:
-            p.add_argument("--depth", type=int)
-        if "z" in flags:
-            p.add_argument("--z", help="receiver path bits, e.g. 01")
-        if "epsilon_channel" in flags:
-            p.add_argument("--epsilon-channel", type=float,
-                           dest="epsilon_channel")
-        if "out" in flags:
-            p.add_argument("--out", help="output path (default stdout)")
-        if "json" in flags:
-            p.add_argument("--json", action="store_true", dest="as_json")
-        if "fail" in flags:
-            p.add_argument("--fail-on-violation", action="store_true",
-                           dest="fail_on_violation")
-        if config:
-            known = {a.dest for a in p._actions} - {"criterion"}
-            p.set_defaults(**{k: v for k, v in config.items() if k in known})
-        return p
-
-    add("validate", "check table structure and no-signaling", "box", "out")
-    p_box = add("box", "emit or summarize a builtin/file box", "box", "out")
-    p_box.add_argument("--emit", action="store_true",
-                       help="write the behavior as JSON")
-    if config and "emit" in config:
-        p_box.set_defaults(emit=config["emit"])
-    add("protocol", "single-copy task biases and success profile",
-        "box", "epsilon_channel", "out")
-    add("eval", "evaluate one criterion on a box",
-        "box", "criterion", "depth", "epsilon_channel", "out", "json", "fail")
-    p_concat = add("concat", "exact concatenated-run success probability",
-                   "box", "depth", "z", "out")
-    p_concat.add_argument("--closed", action="store_true",
-                          help="use the closed form in the box biases "
-                               "instead of exact enumeration")
-    if config and "closed" in config:
-        p_concat.set_defaults(closed=config["closed"])
-    p_scan = add("scan", "grid scan of the default slice, CSV output",
-                 "criterion", "depth", "epsilon_channel", "out", "fail")
-    p_scan.add_argument("--slice", default="default")
-    p_scan.add_argument("--grid-step", type=float, default=0.01,
-                        dest="grid_step")
-    p_bnd = add("boundary", "bisect a criterion boundary along a slice ray",
-                "criterion", "depth", "epsilon_channel", "out")
-    p_bnd.add_argument("--slice", default="default")
-    p_bnd.add_argument("--epsilon-slice", type=float, required=not (
-        config and "epsilon_slice" in config), dest="epsilon_slice")
-    p_bnd.add_argument("--tol", type=float, default=scan.BISECTION_TOL)
-    p_cls = add("classify", "classify a box catalog against both quadratic "
-                "criteria", "out", "json")
-    p_cls.add_argument("--catalog", help="catalog JSON path "
-                       "(default: bundled partial catalog)")
-    for p, keys in ((p_scan, ("slice", "grid_step")),
-                    (p_bnd, ("slice", "epsilon_slice", "tol")),
-                    (p_cls, ("catalog",))):
-        if config:
-            p.set_defaults(**{k: config[k] for k in keys if k in config})
-    return parser
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
+    return parser, commands
 
 
 def _load_config(path: str) -> dict[str, Any]:
@@ -178,26 +147,28 @@ def _load_config(path: str) -> dict[str, Any]:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
+    unknown = set(obj) - set(_FLAGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return obj
+    return {k: _from_config(_FLAGS[k], v) for k, v in obj.items()}
 
 
-class _Output:
-    def __init__(self, path: str | None) -> None:
-        self.path = path
+def _from_config(flag: dict[str, Any], value: Any) -> Any:
+    """A string value is read as the flag's command-line text."""
+    if not isinstance(value, str):
+        return value
+    if flag.get("action") == "append":
+        return [value]
+    return flag["type"](value) if "type" in flag else value
 
-    def __enter__(self) -> io.TextIOBase:
-        if self.path is None:
-            self.stream = sys.stdout
-        else:
-            self.stream = open(self.path, "w", encoding="utf-8")
-        return self.stream
 
-    def __exit__(self, *exc: Any) -> None:
-        if self.path is not None:
-            self.stream.close()
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _slice_from_arg(arg: str, grid_step: float,
@@ -219,8 +190,6 @@ def _single_criterion(args: argparse.Namespace) -> str:
     ids = args.criterion
     if not ids:
         raise ValueError("--criterion is required")
-    if isinstance(ids, str):
-        return ids
     if len(ids) != 1:
         raise ValueError("exactly one --criterion expected here")
     return ids[0]
@@ -233,16 +202,18 @@ def _report_line(rep: criteria.CriterionReport) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    """check table structure and no-signaling"""
     box = parse_box_uri(args.box, args.parties, check=False)
     report = behaviors.validate(box)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         out.write(report.summary() + "\n")
     return 0 if report.ok else 2
 
 
 def _cmd_box(args: argparse.Namespace) -> int:
+    """emit or summarize a builtin/file box"""
     box = parse_box_uri(args.box, args.parties, check=False)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         if args.emit:
             json.dump(behaviors.to_json_obj(box), out, indent=2,
                       sort_keys=True)
@@ -257,10 +228,11 @@ def _cmd_box(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
+    """single-copy task biases and success profile"""
     box = parse_box_uri(args.box, args.parties)
     e_one, e_two = protocol.biases(box)
     profile = protocol.success_profile(box)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         out.write(f"E_I={_fmt(e_one)} E_II={_fmt(e_two)}\n")
         for i, p in enumerate(profile.probabilities, start=1):
             out.write(f"p_success_choice{i}={_fmt(p)}\n")
@@ -268,12 +240,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """evaluate one criterion on a box"""
     box = parse_box_uri(args.box, args.parties)
     criterion = _single_criterion(args)
     rep = criteria.evaluate(criterion, box, depth=args.depth,
                             epsilon=args.epsilon_channel)
-    with _Output(args.out) as out:
-        if args.as_json:
+    with _output(args.out) as out:
+        if args.json:
             json.dump(rep.to_json_obj(), out, indent=2, sort_keys=True)
             out.write("\n")
         else:
@@ -282,6 +255,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_concat(args: argparse.Namespace) -> int:
+    """exact concatenated-run success probability"""
     box = parse_box_uri(args.box, args.parties)
     if args.depth is None:
         raise ValueError("--depth is required")
@@ -296,17 +270,18 @@ def _cmd_concat(args: argparse.Namespace) -> int:
                                                sum(zbits))
     else:
         value = protocol.concat_success_simulated(box, args.depth, zbits)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         out.write(_fmt(value) + "\n")
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    """grid scan of the default slice, CSV output"""
     ids = args.criterion or ["ic-multi", "ic-multicopy"]
     spec = _slice_from_arg(args.slice, args.grid_step, ids)
     rows = scan.scan_slice(spec, depth=args.depth,
                            epsilon_channel=args.epsilon_channel)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         scan.write_scan_csv(rows, out)
     if args.fail_on_violation and any(r.violated for r in rows):
         return 1
@@ -314,22 +289,24 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_boundary(args: argparse.Namespace) -> int:
+    """bisect a criterion boundary along a slice ray"""
     criterion = _single_criterion(args)
     spec = _slice_from_arg(args.slice, scan.DEFAULT_GRID_STEP, [criterion])
     point = scan.boundary(spec, criterion, args.epsilon_slice, args.tol,
                           depth=args.depth,
                           epsilon_channel=args.epsilon_channel)
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         scan.write_boundary_csv([point], out)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    """classify a box catalog against both quadratic criteria"""
     path = args.catalog or _bundled_catalog_path()
     catalog = load_catalog(path)
     result = scan.classify_catalog(catalog)
-    with _Output(args.out) as out:
-        if args.as_json:
+    with _output(args.out) as out:
+        if args.json:
             json.dump(result.to_json_obj(), out, indent=2, sort_keys=True)
             out.write("\n")
         else:
@@ -343,36 +320,42 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "box": _cmd_box,
-    "protocol": _cmd_protocol,
-    "eval": _cmd_eval,
-    "concat": _cmd_concat,
-    "scan": _cmd_scan,
-    "boundary": _cmd_boundary,
-    "classify": _cmd_classify,
+# command -> (handler, whose docstring is the help line; flags)
+_BOX = ("box", "parties")
+_COMMANDS = {
+    "validate": (_cmd_validate, (*_BOX, "out")),
+    "box": (_cmd_box, (*_BOX, "out", "emit")),
+    "protocol": (_cmd_protocol, (*_BOX, "epsilon_channel", "out")),
+    "eval": (_cmd_eval, (*_BOX, "criterion", "depth", "epsilon_channel",
+                         "out", "json", "fail_on_violation")),
+    "concat": (_cmd_concat, (*_BOX, "depth", "z", "out", "closed")),
+    "scan": (_cmd_scan, ("criterion", "depth", "epsilon_channel", "out",
+                         "fail_on_violation", "slice", "grid_step")),
+    "boundary": (_cmd_boundary, ("criterion", "depth", "epsilon_channel",
+                                 "out", "slice", "epsilon_slice", "tol")),
+    "classify": (_cmd_classify, ("out", "json", "catalog")),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    config: dict[str, Any] | None = None
-    if "--config" in argv:
-        try:
-            config = _load_config(argv[argv.index("--config") + 1])
-        except (IndexError, OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad --config: {exc}", file=sys.stderr)
-            return 2
-    parser = _build_parser(config)
-    args = parser.parse_args(argv)
-    if (config and "criterion" in config
-            and not getattr(args, "criterion", None)
-            and hasattr(args, "criterion")):
-        wanted = config["criterion"]
-        args.criterion = [wanted] if isinstance(wanted, str) else list(wanted)
+    parser, commands = _parsers()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _HANDLERS[args.command](args)
+        config = _load_config(args.config) if "config" in args else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: bad --config: {exc}", file=sys.stderr)
+        return 2
+    handler, flags = _COMMANDS[args.command]
+    for dest in flags:  # flag > config > default
+        if dest in args:
+            continue
+        if dest in _REQUIRED and dest not in config:
+            commands[args.command].error(
+                "the following arguments are required: --"
+                + dest.replace("_", "-"))
+        setattr(args, dest, config.get(dest, _DEFAULTS.get(dest)))
+    try:
+        return handler(args)
     except (StructureError, ValueError, NotImplementedError, KeyError,
             OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -20,8 +20,9 @@ import numpy as np
 from .behaviors import PARITY, Behavior, relabeling_index_maps
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
-from .protocol import (ProtocolConfig, biases, guess_name, message_name,
-                       noisy_message_name, task_joint, x_bit_name)
+from .protocol import (ProtocolConfig, bias_weights, biases, guess_name,
+                       message_name, noisy_message_name, task_joint,
+                       x_bit_name)
 # not called here: the benchmark's tracer self-test reads this binding
 from .protocol import single_copy_joint  # noqa: F401
 
@@ -201,10 +202,6 @@ def eval_success_bound(b: Behavior, depth: int) -> CriterionReport:
     })
 
 
-_UFFINK_POS = (0b001, 0b010, 0b100)   # inputs in the first bracket, +sign
-_UFFINK_NEG_FIRST = 0b111
-
-
 @functools.cache
 def _cached_maps(parties: int) -> np.ndarray:
     return relabeling_index_maps(parties)
@@ -235,16 +232,14 @@ def _uffink3_values(flat_tables: np.ndarray) -> np.ndarray:
 def eval_uffink(b: Behavior) -> CriterionReport:
     """Quadratic correlator criterion.
 
-    Two parties: E_I^2 + E_II^2 vs 1, identical in value to ic-multicopy.
+    Two parties: the ic-multicopy report, E_I^2 + E_II^2 vs 1, as uffink-2.
     Three parties: (C_001 + C_010 + C_100 - C_111)^2 +
     (C_110 + C_101 + C_011 - C_000)^2 vs 16, maximized over the full
     relabeling orbit (party permutations, input flips, input-conditioned
     output flips; 3072 variants).
     """
     if b.parties == 2:
-        e_one, e_two = biases(b)
-        return _report("uffink-2", e_one ** 2 + e_two ** 2, 1.0,
-                       {"E_I": e_one, "E_II": e_two})
+        return replace(eval_multicopy(b), criterion_id="uffink-2")
     if b.parties == 3:
         values = _uffink3_values(_orbit_tables(b))
         canonical = float(_uffink3_values(b.table.ravel()[None, :])[0])
@@ -262,16 +257,7 @@ def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     """ic-multicopy maximized over the relabeling orbit (including which
     party acts as receiver, via party permutations).  Used for catalog
     classification, where class representatives carry arbitrary labelings."""
-    n = b.parties
-    x = np.arange(2 ** n)[:, None]
-    x_n = x & 1
-    target = PARITY[x >> 1] * x_n  # parity target: 0 at x_N = 0
-    val = np.where(PARITY[:2 ** n] == target, 1.0, -1.0) / 2 ** (n - 1)
-    w_one = np.where(x_n == 0, val, 0.0)
-    w_two = np.where(x_n == 1, val, 0.0)
-    variants = _orbit_tables(b)
-    e_one = variants @ w_one.ravel()
-    e_two = variants @ w_two.ravel()
+    e_one, e_two = (_orbit_tables(b) @ bias_weights(b.parties)).T
     values = e_one ** 2 + e_two ** 2
     best = int(values.argmax())
     return _report("ic-multicopy", float(values[best]), 1.0, {
@@ -333,30 +319,25 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
     if criterion_id not in CRITERION_IDS:
         raise ValueError(f"unknown criterion {criterion_id!r}; "
                          f"known: {', '.join(CRITERION_IDS)}")
-    if criterion_id in ("ic-bipartite", "ic-bipartite-strong"):
-        if b.parties != 2:
+    if criterion_id in ("ic-bipartite", "ic-bipartite-strong", "ic-multi"):
+        if criterion_id != "ic-multi" and b.parties != 2:
             raise ValueError(f"{criterion_id} needs a 2-party behavior, "
                              f"got {b.parties} parties")
-        cfg = ProtocolConfig(parties=2, input_distribution=input_distribution)
-        joint = task_joint(b, cfg)
+        joint = task_joint(b, ProtocolConfig(
+            parties=b.parties, input_distribution=input_distribution))
+        if criterion_id == "ic-multi":
+            return eval_multipartite_ic(joint)
         if criterion_id == "ic-bipartite":
             return eval_bipartite_ic(joint)
         return eval_stronger_bipartite(joint)
-    if criterion_id == "ic-multi":
-        cfg = ProtocolConfig(parties=b.parties,
-                             input_distribution=input_distribution)
-        return eval_multipartite_ic(task_joint(b, cfg))
     if criterion_id == "ic-multicopy":
         return eval_multicopy(b)
     if criterion_id == "ic-success-bound":
         return eval_success_bound(b, 1 if depth is None else depth)
-    if criterion_id == "uffink-2":
-        if b.parties != 2:
-            raise ValueError("uffink-2 needs a 2-party behavior")
-        return eval_uffink(b)
-    if criterion_id == "uffink-3":
-        if b.parties != 3:
-            raise ValueError("uffink-3 needs a 3-party behavior")
+    if criterion_id in ("uffink-2", "uffink-3"):
+        if b.parties != int(criterion_id[-1]):
+            raise ValueError(f"{criterion_id} needs a {criterion_id[-1]}-party "
+                             f"behavior")
         return eval_uffink(b)
     if epsilon is None:
         raise ValueError("ic-noisy needs a channel epsilon")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,16 +62,6 @@ class JointDistribution:
             p = float(v)
             if p != 0.0:
                 yield it.multi_index, p
-
-
-def from_atoms(variables: Sequence[tuple[str, int]],
-               atoms: Mapping[tuple[int, ...], float]) -> JointDistribution:
-    names = tuple(n for n, _ in variables)
-    cards = tuple(c for _, c in variables)
-    p = np.zeros(cards)
-    for values, w in atoms.items():
-        p[values] += w
-    return JointDistribution(names, p)
 
 
 def _resolve(d: JointDistribution, names: Sequence[str] | str) -> tuple[str, ...]:
@@ -192,22 +182,3 @@ def apply_channel(d: JointDistribution, var: str, ch: Channel,
 def capacity(ch: Channel) -> float:
     """Capacity of the binary symmetric channel, 1 - h(epsilon) bits."""
     return 1.0 - binary_entropy(ch.epsilon)
-
-
-# ---------------------------------------------------------------------------
-# JSON (debugging aid, mirrors the behavior file style)
-
-def to_json_obj(d: JointDistribution) -> dict:
-    return {
-        "format": "jointpmf-v1",
-        "variables": [[n, int(c)] for n, c in zip(d.names, d.cards)],
-        "pmf": [{"v": list(map(int, vals)), "p": p} for vals, p in d.pmf_items()],
-    }
-
-
-def from_json_obj(obj: Mapping) -> JointDistribution:
-    if obj.get("format") != "jointpmf-v1":
-        raise ValueError(f"unsupported pmf format {obj.get('format')!r}")
-    variables = [(str(n), int(c)) for n, c in obj["variables"]]
-    atoms = {tuple(int(v) for v in row["v"]): float(row["p"]) for row in obj["pmf"]}
-    return from_atoms(variables, atoms)

@@ -81,30 +81,19 @@ def guess_name(i: int) -> str:
 class ProtocolConfig:
     """Task configuration for one behavior.
 
-    bits_per_sender is fixed at 2 for a single copy; longer bit strings are
-    reached through concatenation (bits_per_sender = 2^concat_depth).
-    input_distribution defaults to independent uniform bits and, when given,
-    must be a JointDistribution over exactly the X_i^k names.
+    A single copy gives every sender 2 bits; longer bit strings are reached
+    through concatenation (concat_success_simulated).  input_distribution
+    defaults to independent uniform bits and, when given, must be a
+    JointDistribution over exactly the X_i^k names.
     """
 
     parties: int
-    bits_per_sender: int = 2
-    concat_depth: int = 0
     channel: Channel | None = None
     input_distribution: JointDistribution | None = None
 
     def __post_init__(self) -> None:
         if self.parties < 2:
             raise ValueError(f"need at least 2 parties, got {self.parties}")
-        if self.concat_depth < 0:
-            raise ValueError("concat_depth must be >= 0")
-        if self.concat_depth == 0:
-            if self.bits_per_sender != 2:
-                raise NotImplementedError(
-                    "single-copy runs are defined for 2 bits per sender; "
-                    "longer strings come from concatenation")
-        elif self.bits_per_sender != 2 ** self.concat_depth:
-            raise ValueError("concatenation at depth K encodes 2^K bits per sender")
 
 
 def x_bit_names(parties: int, bits: int = 2) -> list[str]:
@@ -319,20 +308,26 @@ class SuccessProfile:
         return 2.0 * self.probabilities[i - 1] - 1.0
 
 
-def success_profile(b: Behavior, cfg: ProtocolConfig | None = None) -> SuccessProfile:
-    joint = task_joint(b, cfg)
-    parties = b.parties
-    out = []
-    for i in (1, 2):
-        vars_i = [x_bit_name(k, i) for k in range(1, parties)] + [guess_name(i)]
-        m = marginal(joint, vars_i)
-        hit = 0.0
-        for values, p in m.pmf_items():
-            target = reduce(lambda u, v: u ^ v, values[:-1], 0)
-            if values[-1] == target:
-                hit += p
-        out.append(hit)
-    return SuccessProfile(tuple(out))
+def success_profile(b: Behavior) -> SuccessProfile:
+    """Hit probabilities for uniform inputs: G_i = ⊕_k X_i^k exactly when
+    the box meets its parity condition at x_N = i-1, so p_i = (1 + E_i)/2
+    with (E_I, E_II) = biases(b)."""
+    return SuccessProfile(tuple(0.5 * (1.0 + e) for e in biases(b)))
+
+
+@cache
+def bias_weights(parties: int) -> np.ndarray:
+    """(4^N, 2) weights W with biases(b) = b.table.ravel() @ W: ±2^-(N-1)
+    on the entries with x_N = 0 (E_I) or 1 (E_II), + where ⊕_k a_k meets
+    the target ⊕_{k<N} x_k x_N.  Shared between calls, so read-only."""
+    x = np.arange(2 ** parties)[:, None]
+    x_n = x & 1
+    target = PARITY[x >> 1] * x_n
+    sign = np.where(PARITY[:2 ** parties] == target, 1.0, -1.0)
+    w = np.stack([np.where(x_n == v, sign, 0.0).ravel() for v in (0, 1)],
+                 axis=1) / 2 ** (parties - 1)
+    w.setflags(write=False)
+    return w
 
 
 def biases(b: Behavior) -> tuple[float, float]:
@@ -342,34 +337,8 @@ def biases(b: Behavior) -> tuple[float, float]:
     ⊕_k a_k equals ⊕_{k<N} x_k x_N; P_II is the same at x_N = 1; the bias is
     E = 2P - 1.
     """
-    full, _ = _split_tables(b)
-    n_send = b.parties - 1
-    par = PARITY[:2 ** n_send].tolist()
-    p_hit = [0.0, 0.0]
-    for xs in range(2 ** n_send):
-        want = (0, par[xs])  # parity target for x_N = 0, 1
-        for as_idx in range(2 ** n_send):
-            a_par = par[as_idx]
-            for v in (0, 1):
-                c = want[v] ^ a_par
-                p_hit[v] += full[xs, v, as_idx, c]
-    scale = 1.0 / 2 ** n_send
-    return (float(2.0 * p_hit[0] * scale - 1.0),
-            float(2.0 * p_hit[1] * scale - 1.0))
-
-
-def q_parity(s: int, p: float, parity: str = "even") -> float:
-    """Probability that s independent events of probability 1-p each leave an
-    even (or odd) number of failures: Q = (1 ± (2p-1)^s) / 2."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if parity == "even":
-        return 0.5 * (1.0 + (2.0 * p - 1.0) ** s)
-    if parity == "odd":
-        return 0.5 * (1.0 - (2.0 * p - 1.0) ** s)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    e_one, e_two = b.table.ravel() @ bias_weights(b.parties)
+    return float(e_one), float(e_two)
 
 
 def concat_success_closed(e_one: float, e_two: float, depth: int, ones: int) -> float:
@@ -386,10 +355,18 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     """Exact success probability of the depth-K concatenated run for path z.
 
     Enumerates the tree bottom-up, carrying the exact joint distribution of
-    each subtree's outgoing message vector (and, on the measured path, the
-    receiver's running decode bit against the target).  Subtrees involve
-    disjoint boxes and disjoint fresh input bits, so the product structure is
-    exact; nothing here assumes anything about how box errors combine.
+    the measured subtree's outgoing message vector and the receiver's
+    running decode bit against the target, r.  The off-path subtree at each
+    level is never measured, and its outgoing message vector is exactly
+    uniform and independent of everything else: it is its left input
+    (fresh first bits at a leaf) XOR the outcomes of a box whose input is
+    independent of that left input, so the fresh bits act as a one-time
+    pad.  Each level is then one weighted bincount over
+    (m_sel, r_sel, m_off, a, c) into (m_out, r), starting at the leaves
+    from uniform first (z_K = 0) or second (z_K = 1) bits with r = 0.
+    Subtrees involve disjoint boxes and disjoint fresh input bits, so the
+    product structure is exact; nothing here assumes anything about how
+    box errors combine.
     """
     if b.parties > MAX_SIM_PARTIES:
         raise ValueError(f"simulation cap is {MAX_SIM_PARTIES} parties, got {b.parties}")
@@ -399,83 +376,18 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     if len(zbits) != depth:
         raise ValueError(f"z must have {depth} bits, got {len(zbits)}")
 
-    full, send = _split_tables(b)
-    ns = b.parties - 1
-    n_msgs = 2 ** ns
-    u_bits = 1.0 / n_msgs  # one uniform sender-bit vector
-    par = PARITY[:n_msgs].tolist()
-
-    msg_cache: dict[int, np.ndarray] = {}
-
-    def msg_dist(level: int) -> np.ndarray:
-        """Distribution of the message vector leaving an unmeasured subtree."""
-        if level in msg_cache:
-            return msg_cache[level]
-        out = np.zeros(n_msgs)
-        if level == depth:
-            for f_idx in range(n_msgs):
-                for s_idx in range(n_msgs):
-                    xs = f_idx ^ s_idx
-                    w = u_bits * u_bits
-                    for a_idx in range(n_msgs):
-                        out[f_idx ^ a_idx] += w * send[xs, a_idx]
-        else:
-            child = msg_dist(level + 1)
-            for m_left in range(n_msgs):
-                wl = child[m_left]
-                if wl == 0.0:
-                    continue
-                for m_right in range(n_msgs):
-                    w = wl * child[m_right]
-                    if w == 0.0:
-                        continue
-                    xs = m_left ^ m_right
-                    for a_idx in range(n_msgs):
-                        out[m_left ^ a_idx] += w * send[xs, a_idx]
-        msg_cache[level] = out
-        return out
-
-    def path_dist(level: int, rest: tuple[int, ...]) -> np.ndarray:
-        """Joint of (message vector, decode ⊕ target) for a measured subtree."""
-        zeta = rest[0]
-        out = np.zeros((n_msgs, 2))
-        if level == depth:
-            for f_idx in range(n_msgs):
-                par_f = par[f_idx]
-                for s_idx in range(n_msgs):
-                    xs = f_idx ^ s_idx
-                    w = u_bits * u_bits
-                    target = par_f if zeta == 0 else par[s_idx]
-                    for a_idx in range(n_msgs):
-                        m_out = f_idx ^ a_idx
-                        par_m = par[m_out]
-                        for c in (0, 1):
-                            p = full[xs, zeta, a_idx, c]
-                            if p != 0.0:
-                                out[m_out, par_m ^ c ^ target] += w * p
-        else:
-            sel = path_dist(level + 1, rest[1:])
-            off = msg_dist(level + 1)
-            for m_sel in range(n_msgs):
-                par_sel = par[m_sel]
-                for r_sel in (0, 1):
-                    w1 = sel[m_sel, r_sel]
-                    if w1 == 0.0:
-                        continue
-                    for m_off in range(n_msgs):
-                        w2 = w1 * off[m_off]
-                        if w2 == 0.0:
-                            continue
-                        m_left = m_sel if zeta == 0 else m_off
-                        xs = m_sel ^ m_off
-                        for a_idx in range(n_msgs):
-                            m_out = m_left ^ a_idx
-                            par_m = par[m_out]
-                            for c in (0, 1):
-                                p = full[xs, zeta, a_idx, c]
-                                if p != 0.0:
-                                    out[m_out, par_m ^ c ^ r_sel ^ par_sel] += w2 * p
-        return out
-
-    root = path_dist(1, zbits)
-    return float(root[:, 0].sum())
+    full, _ = _split_tables(b)
+    n_msgs = 2 ** (b.parties - 1)
+    m_sel, r_sel, m_off, a, c = np.ix_(*(np.arange(k) for k in
+                                         (n_msgs, 2, n_msgs, n_msgs, 2)))
+    sel = np.zeros((n_msgs, 2))
+    sel[:, 0] = 1.0 / n_msgs
+    for zeta in reversed(zbits):
+        # the selected subtree feeds the box's left input when zeta = 0
+        m_out = (m_off if zeta else m_sel) ^ a
+        r_out = PARITY[m_out] ^ c ^ r_sel ^ PARITY[m_sel]
+        w = sel[m_sel, r_sel] * full[m_sel ^ m_off, zeta, a, c] / n_msgs
+        cell = np.broadcast_to(2 * m_out + r_out, w.shape)
+        sel = np.bincount(cell.ravel(), weights=w.ravel(),
+                          minlength=2 * n_msgs).reshape(n_msgs, 2)
+    return float(sel[:, 0].sum())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -131,16 +132,27 @@ def write_scan_csv(rows: Iterable[ScanRow], stream: io.TextIOBase) -> None:
                          "true" if r.violated else "false"])
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tolerance must be positive and finite, "
+                         f"got {tol}")
+
+
 def bisect_threshold(predicate: Callable[[float], bool], lo: float, hi: float,
                      tol: float = BISECTION_TOL) -> tuple[float, float]:
     """Shrink [lo, hi] to width <= tol keeping predicate False at lo and
-    True at hi.  The initial endpoints must already bracket the change."""
+    True at hi.  The initial endpoints must already bracket the change.
+    Stops early once lo and hi are adjacent floats, where no midpoint
+    lies strictly between them."""
+    _check_tol(tol)
     if predicate(lo):
         raise ValueError(f"predicate already true at {lo}")
     if not predicate(hi):
         raise ValueError(f"predicate never turns true by {hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if predicate(mid):
             hi = mid
         else:
@@ -168,6 +180,7 @@ def boundary(spec: SliceSpec, criterion: str, epsilon: float,
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    _check_tol(tol)
     hi_gamma = 1.0 - epsilon
 
     def is_violated(gamma: float) -> bool:

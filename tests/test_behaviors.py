@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -188,6 +189,42 @@ def test_relabeling_index_maps():
         assert bh.validate(bh.Behavior(3, flat[row].reshape(8, 8))).ok
 
 
+def _relabeled_entry_source(n, perm, flip, beta, alpha, x, a):
+    """Source (x, a) of one relabeled entry, one party at a time."""
+    xs, as_ = bh.index_to_tuple(x, n), bh.index_to_tuple(a, n)
+    fl, be, al = (bh.index_to_tuple(m, n) for m in (flip, beta, alpha))
+    src_x, src_a = [0] * n, [0] * n
+    for i in range(n):
+        src_x[perm[i]] = xs[i] ^ fl[i]
+        src_a[perm[i]] = as_[i] ^ be[i] ^ (al[i] & xs[i])
+    return bh.tuple_to_index(src_x) * 2 ** n + bh.tuple_to_index(src_a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relabeling_index_map_rows(n):
+    # row order (permutation, flip, beta, alpha) is what uffink-3 reports as
+    # argmax_variant
+    maps = bh.relabeling_index_maps(n)
+    perms = list(itertools.permutations(range(n)))
+    rows = np.random.default_rng(n).choice(maps.shape[0], 60, replace=False)
+    for g in rows:
+        rest, alpha = divmod(int(g), 2 ** n)
+        rest, beta = divmod(rest, 2 ** n)
+        p, flip = divmod(rest, 2 ** n)
+        want = [_relabeled_entry_source(n, perms[p], flip, beta, alpha,
+                                        x, a)
+                for x in range(2 ** n) for a in range(2 ** n)]
+        assert maps[g].tolist() == want
+
+
+def test_relabeling_masks_need_one_bit_per_party():
+    b = bh.named_box("box45", parties=3)
+    with pytest.raises(ValueError):
+        bh.flip_inputs(b, (1, 0))
+    with pytest.raises(ValueError):
+        bh.relabel_outputs(b, (1, 0, 1, 0))
+
+
 def test_json_roundtrip(tmp_path):
     for b in (bh.named_box("pr"), bh.named_box("box45", parties=3),
               make_svetlichny()):
@@ -236,17 +273,6 @@ def test_from_json_rejects_repeated_entries_and_non_rows():
             bh.from_json_obj(dict(obj, table=table))
 
 
-def test_behavior_from_entries():
-    entries = {(x, a): p for x, a, p in bh.named_box("pr").entries()}
-    b = bh.behavior_from_entries(2, entries)
-    assert bh.behaviors_close(b, bh.named_box("pr"))
-    partial = {((0, 0), (0, 0)): 1.0}
-    with pytest.raises(bh.StructureError):
-        bh.behavior_from_entries(2, partial)
-    filled = bh.behavior_from_entries(2, partial, fill_missing=True)
-    assert filled.table.sum() == 1.0
-
-
 def test_load_catalog_errors(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"not": "a list"}))
@@ -269,6 +295,15 @@ def test_load_catalog_rejects_non_object_entries(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(bh.StructureError, match="entry 0"):
+        bh.load_catalog(path)
+
+
+@pytest.mark.parametrize("ids", [[45, 45], [1.7], [True], ["1"]])
+def test_load_catalog_rejects_bad_class_ids(tmp_path, ids):
+    obj = bh.to_json_obj(bh.named_box("white", parties=3))
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"class": c, "behavior": obj} for c in ids]))
+    with pytest.raises(bh.StructureError, match="class"):
         bh.load_catalog(path)
 
 

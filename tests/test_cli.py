@@ -172,6 +172,22 @@ def test_boundary_csv(capsys):
     assert float(cells[3]) <= 1e-6
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_boundary_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "boundary", "--criterion", "ic-multicopy",
+                         "--epsilon-slice", "0", "--tol", tol)
+    assert code == 2 and out == "" and "tolerance" in err
+
+
+def test_boundary_tolerance_below_float_spacing(capsys):
+    code, out, _ = run(capsys, "boundary", "--criterion", "ic-multicopy",
+                       "--epsilon-slice", "0", "--tol", "1e-20")
+    assert code == 0
+    cells = out.splitlines()[1].split(",")
+    assert abs(float(cells[2]) - 2.0 ** -0.5) <= 1e-9
+    assert 0.0 < float(cells[3]) < 1e-15  # adjacent floats
+
+
 def test_classify_default(capsys):
     code, out, _ = run(capsys, "classify")
     assert code == 0
@@ -211,6 +227,24 @@ def test_config_file(tmp_path, capsys):
                        "--criterion", "ic-multicopy")
     assert code == 0
     assert out == "lhs=2 rhs=1 margin=1 violated=true\n"
+
+
+def test_config_keys_follow_flag_names(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box": "builtin:box45",
+                               "criterion": "uffink-3", "json": True}))
+    code, out, _ = run(capsys, "eval", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["criterion"] == "uffink-3"
+    cfg.write_text(json.dumps({"box": "builtin:isotropic:0.7", "depth": "2",
+                               "z": "01", "closed": True}))
+    code, out, _ = run(capsys, "concat", "--config", str(cfg))
+    assert code == 0 and out == "0.745\n"
+    cfg.write_text(json.dumps({"criterion": ["ic-multicopy"],
+                               "epsilon_slice": 0, "tol": 1e-3}))
+    code, out, _ = run(capsys, "boundary", "--config", str(cfg))
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[3]) <= 1e-3
 
 
 def test_config_errors(tmp_path, capsys):
@@ -286,3 +320,14 @@ def test_malformed_catalog_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--catalog", str(path))
     assert code == 2 and out == ""
     assert "catalog entry 0 is not an object" in err
+
+
+def test_repeated_catalog_class_exits_2(tmp_path, capsys):
+    from icbox.behaviors import to_json_obj
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(
+        [{"class": 45, "behavior": to_json_obj(named_box(name))}
+         for name in ("box45", "white")]))
+    code, out, err = run(capsys, "classify", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert "repeats class 45" in err

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (local_deterministic_boxes, make_ghz_style,
                       make_svetlichny, random_local_mixture, random_ns_box)
-from icbox.behaviors import mix, named_box
+from icbox.behaviors import (flip_inputs, mix, named_box, permute_parties,
+                             relabel_outputs)
 from icbox.criteria import (CRITERION_IDS, VIOLATION_TOL, eval_bipartite_ic,
                             eval_multicopy, eval_multipartite_ic,
                             eval_noisy_ic, eval_stronger_bipartite,
@@ -154,6 +157,20 @@ def test_orbit_never_below_canonical():
     for _ in range(5):
         b = random_ns_box(rng, 3)
         assert multicopy_orbit_max(b).lhs >= eval_multicopy(b).lhs - 1e-12
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_orbit_maxima_invariant_under_relabeling(parties, seed):
+    rng = np.random.default_rng(seed)
+    b = random_ns_box(rng, parties)
+    perm = tuple(rng.permutation(parties).tolist())
+    mask, beta, alpha = (rng.integers(0, 2, parties).tolist() for _ in range(3))
+    v = relabel_outputs(flip_inputs(permute_parties(b, perm), mask), beta, alpha)
+    assert abs(multicopy_orbit_max(v).lhs - multicopy_orbit_max(b).lhs) <= 1e-12
+    if parties == 3:
+        assert abs(eval_uffink(v).lhs - eval_uffink(b).lhs) <= 1e-12
 
 
 def test_uffink_two_party_equals_multicopy():

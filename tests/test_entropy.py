@@ -58,13 +58,6 @@ def test_joint_construction_errors():
         en.JointDistribution(("A", "B"), bad)
 
 
-def test_from_atoms_accumulates():
-    d = en.from_atoms((("A", 2), ("B", 2)),
-                      {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25,
-                       (1, 1): 0.125, (1, 1): 0.25})
-    assert d.probs[1, 1] == 0.25
-
-
 def test_chain_rule_seeded():
     # I(A : B,C) = I(A:B) + I(A:C|B)
     rng = np.random.default_rng(42)
@@ -151,13 +144,3 @@ def test_channel_validation():
     t = en.Channel(0.25).transition()
     assert np.allclose(t.sum(axis=1), 1.0)
     assert t[0, 1] == 0.25
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(46)
-    d = _random_joint(rng, (2, 3, 2))
-    back = en.from_json_obj(en.to_json_obj(d))
-    assert back.names == d.names
-    assert np.allclose(back.probs, d.probs, atol=1e-15)
-    with pytest.raises(ValueError):
-        en.from_json_obj({"format": "other"})

@@ -2,16 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_svetlichny, random_ns_box
-from icbox.behaviors import named_box, tuple_to_index
+from icbox.behaviors import PARITY, named_box, tuple_to_index
 from icbox.entropy import (Channel, JointDistribution,
                            cond_mutual_information, marginal,
                            mutual_information)
 from icbox.protocol import (MAX_JOINT_VARS, ProtocolConfig, biases,
                             concat_success_closed, concat_success_simulated,
                             guess_name, message_name, noisy_message_name,
-                            q_parity, single_copy_joint, success_profile,
+                            single_copy_joint, success_profile,
                             x_bit_name, x_bit_names)
 from icbox.scan import default_slice, slice_point
 
@@ -19,14 +21,6 @@ from icbox.scan import default_slice, slice_point
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(parties=1)
-    with pytest.raises(ValueError):
-        ProtocolConfig(parties=2, concat_depth=-1)
-    with pytest.raises(NotImplementedError):
-        ProtocolConfig(parties=2, bits_per_sender=3)
-    with pytest.raises(ValueError):
-        ProtocolConfig(parties=2, bits_per_sender=3, concat_depth=2)
-    cfg = ProtocolConfig(parties=2, bits_per_sender=4, concat_depth=2)
-    assert cfg.bits_per_sender == 4
 
 
 def test_name_helpers():
@@ -101,6 +95,20 @@ def test_biases_match_success_profile():
             assert abs(prof.bias(2) - e_two) <= 1e-12
 
 
+@pytest.mark.parametrize("parties", [2, 3, 4])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_success_profile_matches_dense_oracle(parties, seed):
+    b = random_ns_box(np.random.default_rng(seed), parties)
+    joint = single_copy_joint(b)
+    target = PARITY[:2 ** (parties - 1)]  # ⊕_k X_i^k for each row of bits
+    for i in (1, 2):
+        names = [x_bit_name(k, i) for k in range(1, parties)] + [guess_name(i)]
+        table = marginal(joint, names).probs.reshape(-1, 2)  # [X_i bits, G_i]
+        hit = table[np.arange(target.size), target].sum()
+        assert abs(success_profile(b).probabilities[i - 1] - hit) <= 1e-12
+
+
 def test_input_distribution_override():
     point = np.zeros((2, 2))
     point[1, 0] = 1.0
@@ -147,18 +155,6 @@ def test_joint_variable_cap():
         single_copy_joint(named_box("white", parties=5))
 
 
-def test_q_parity():
-    assert q_parity(2, 0.75) == pytest.approx(0.625, abs=1e-15)
-    assert q_parity(2, 0.75, parity="odd") == pytest.approx(0.375, abs=1e-15)
-    assert q_parity(0, 0.3) == 1.0
-    with pytest.raises(ValueError):
-        q_parity(-1, 0.5)
-    with pytest.raises(ValueError):
-        q_parity(2, 1.5)
-    with pytest.raises(ValueError):
-        q_parity(2, 0.5, parity="both")
-
-
 def test_concat_closed_form():
     assert concat_success_closed(0.9, 0.7, 2, 1) == pytest.approx(
         0.815, abs=1e-15)
@@ -184,6 +180,18 @@ def test_concat_simulated_matches_closed_asymmetric():
     for z in ((0, 1), (1, 0)):
         got = concat_success_simulated(b, 2, z)
         assert abs(got - 0.575) <= 1e-12
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_concat_simulated_matches_closed_random(parties, seed):
+    b = random_ns_box(np.random.default_rng(seed), parties)
+    e_one, e_two = biases(b)
+    for depth in (1, 2, 3):
+        for z in itertools.product((0, 1), repeat=depth):
+            want = concat_success_closed(e_one, e_two, depth, sum(z))
+            assert abs(concat_success_simulated(b, depth, z) - want) <= 1e-12
 
 
 def test_z_permutation_symmetry_isotropic():

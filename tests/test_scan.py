@@ -95,6 +95,19 @@ def test_bisect_threshold():
         bisect_threshold(lambda v: False, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bisection_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        bisect_threshold(lambda v: v > 0.3, 0.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        boundary(default_slice(), "ic-multicopy", 0.0, tol)
+
+
+def test_bisection_stops_at_adjacent_floats():
+    lo, hi = bisect_threshold(lambda v: v > 0.3, 0.0, 1.0, tol=1e-20)
+    assert lo <= 0.3 < hi and np.nextafter(lo, 1.0) == hi
+
+
 def test_boundary_multicopy_on_axis():
     spec = default_slice()
     point = boundary(spec, "ic-multicopy", 0.0)
