@@ -62,6 +62,8 @@ def _parity_table(width: int) -> np.ndarray:
 # parity of the set bits of every joint input or outcome index
 PARITY = _parity_table(MAX_PARTIES)
 PARITY.setflags(write=False)
+_SIGNS = 1.0 - 2.0 * PARITY  # (-1)^parity
+_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +293,32 @@ def mix(components: Sequence[tuple[float, Behavior]]) -> Behavior:
     return Behavior(n, acc)
 
 
+def correlators(b: Behavior) -> np.ndarray:
+    """Full N-party correlators C_x = sum_a (-1)^(a1+...+aN) p(a|x), one
+    per joint input x (row index order)."""
+    return b.table @ _SIGNS[:2 ** b.parties]
+
+
 def correlator(b: Behavior, x: Sequence[int]) -> float:
-    """Full N-party correlator sum_a (-1)^(a1+...+aN) p(a|x)."""
-    row = b.table[tuple_to_index(x)]
-    n = b.parties
-    signs = 1.0 - 2.0 * PARITY[:2**n]
-    return float(row @ signs)
+    """Full N-party correlator C_x at the input bits x."""
+    return float(correlators(b)[tuple_to_index(x)])
 
 
 # ---------------------------------------------------------------------------
 # relabelings (used by the Uffink orbit and catalog classification)
+
+MAX_ORBIT_PARTIES = 4    # the 5-party orbit index would take about 1 GB
+
+
+def _moved_bits(n: int, perm: Sequence[int]) -> np.ndarray:
+    """moved[i]: the joint index i of the party-permuted behavior (party i
+    is the source's party perm[i]) written in the source party order."""
+    idx = np.arange(2 ** n)
+    moved = np.zeros(2 ** n, dtype=np.int64)
+    for i, p in enumerate(perm):
+        moved |= ((idx >> (n - 1 - i)) & 1) << (n - 1 - p)
+    return moved
+
 
 def _source_index(n: int, perm: Sequence[int], flip=0, beta=0,
                   alpha=0) -> np.ndarray:
@@ -315,9 +333,7 @@ def _source_index(n: int, perm: Sequence[int], flip=0, beta=0,
     """
     size = 2 ** n
     idx = np.arange(size)
-    moved = np.zeros(size, dtype=np.int64)  # idx in the source party order
-    for i, p in enumerate(perm):
-        moved |= ((idx >> (n - 1 - i)) & 1) << (n - 1 - p)
+    moved = _moved_bits(n, perm)
     x = idx[:, None]
     src = (moved[x ^ flip] << n) | moved[idx ^ beta ^ (alpha & x)]
     return src.reshape(*src.shape[:-2], size * size)
@@ -356,6 +372,12 @@ def relabel_outputs(b: Behavior, offsets: Sequence[int],
                                        alpha=_bitmask(alpha, n)))
 
 
+def _check_orbit_parties(n: int) -> None:
+    if not 2 <= n <= MAX_ORBIT_PARTIES:
+        raise ValueError(f"relabeling orbits are supported for 2 to "
+                         f"{MAX_ORBIT_PARTIES} parties, got {n}")
+
+
 def relabeling_index_maps(parties: int) -> np.ndarray:
     """Flat-index maps for the full relabeling group, shape (G, 4^N).
 
@@ -363,14 +385,47 @@ def relabeling_index_maps(parties: int) -> np.ndarray:
     relabeled table is table.ravel()[maps[g]].  G = N! * 2^N * 4^N covers all
     party permutations, input flips and per-party output maps
     a -> a ⊕ β ⊕ αx, in the order (permutation, flip, β, α), the last
-    fastest.  For N=3 that is 6*8*64 = 3072 group elements.
+    fastest.  For N=3 that is 6*8*64 = 3072 group elements.  The test
+    oracle of correlator_orbit_index (201 MB at N=4).
     """
     n = parties
+    _check_orbit_parties(n)
     masks = np.arange(2 ** n)
     flip, beta, alpha = (m[..., None, None] for m in np.ix_(masks, masks, masks))
     return np.concatenate([
         _source_index(n, perm, flip, beta, alpha).reshape(-1, 4 ** n)
         for perm in itertools.permutations(range(n))])
+
+
+@functools.cache
+def correlator_orbit_index(parties: int) -> np.ndarray:
+    """The relabeling orbit acting on correlators, shape (G, 2^N).
+
+    Row g is the signed index of variant g's correlators into
+    concat(C, -C): the outcome map a -> a ⊕ β ⊕ (α & x) permutes the
+    outcomes and flips the parity of a by |β| ⊕ |α & x|, so
+    C'(x) = (-1)^(|β| ⊕ |α & x|) C(moved(x ⊕ flip)).  Rows follow
+    relabeling_index_maps: (permutation, flip, β, α), α fastest.
+    12 MiB at N=4.  Shared between calls, so read-only.
+    """
+    n = parties
+    _check_orbit_parties(n)
+    size = 2 ** n
+    x = np.arange(size)
+    flip, beta, alpha = (m[..., None] for m in np.ix_(x, x, x))
+    negate = (PARITY[beta] ^ PARITY[alpha & x]) * size
+    index = np.concatenate([
+        (_moved_bits(n, perm)[x ^ flip] + negate).reshape(-1, size)
+        for perm in itertools.permutations(range(n))])
+    index.setflags(write=False)
+    return index
+
+
+def correlator_orbit(b: Behavior) -> np.ndarray:
+    """Full-party correlators of every relabeled variant of b, shape
+    (G, 2^N), rows in the order of relabeling_index_maps."""
+    c = correlators(b)
+    return np.concatenate((c, -c))[correlator_orbit_index(b.parties)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +439,26 @@ def to_json_obj(b: Behavior) -> dict:
     return {"parties": b.parties, "format": JSON_FORMAT, "table": table}
 
 
+def _brief(value) -> str:
+    """repr of a parsed JSON value for an error message, cut to 60
+    characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int with too many digits to print
+        return f"an {type(value).__name__} too long to print"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _bits_index(bits, n: int, key: str, row: int) -> int:
     """Row index of one nsbox-v1 bit list: exactly n ints, each 0 or 1."""
     if not isinstance(bits, list) or len(bits) != n:
         raise StructureError(f"table entry {row}: {key} must list {n} bits, "
-                             f"got {bits!r}")
+                             f"got {_brief(bits)}")
     idx = 0
     for v in bits:
         if type(v) is not int or not 0 <= v <= 1:
             raise StructureError(f"table entry {row}: {key} bits must be 0 "
-                                 f"or 1, got {bits!r}")
+                                 f"or 1, got {_brief(bits)}")
         idx = (idx << 1) | v
     return idx
 
@@ -408,9 +473,13 @@ def _raise_row_error(rows: list, n: int) -> NoReturn:
         key = (_bits_index(row["x"], n, "x", i),
                _bits_index(row["a"], n, "a", i))
         p = row["p"]
-        if type(p) not in (int, float) or not math.isfinite(p):
+        try:
+            finite = type(p) in (int, float) and math.isfinite(p)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise StructureError(f"table entry {i}: p must be a finite "
-                                 f"number, got {p!r}")
+                                 f"number, got {_brief(p)}")
         if key in seen:
             raise StructureError(f"table entry {i} repeats x={row['x']} "
                                  f"a={row['a']}")
@@ -432,13 +501,16 @@ def _table_entries(rows: list, n: int) -> tuple[np.ndarray, list]:
         ps = list(map(itemgetter("p"), rows))
         # admits only length-n sequences whose items equal 0 or 1
         idx = list(map(_bits_indices(n).__getitem__, map(tuple, bit_lists)))
-    except (TypeError, KeyError):
+        # also rejects 1.0 and true, which pass the lookup
+        ok = not (set(map(type, bit_lists)) - {list}
+                  or set(map(type, itertools.chain.from_iterable(bit_lists)))
+                  - {int}
+                  or set(map(type, ps)) - {int, float}
+                  or not all(map(math.isfinite, ps)))
+    except (TypeError, KeyError, OverflowError):
+        ok = False
+    if not ok:
         _raise_row_error(rows, n)
-    if (set(map(type, bit_lists)) - {list}
-            or set(map(type, itertools.chain.from_iterable(bit_lists))) - {int}
-            or set(map(type, ps)) - {int, float}
-            or not all(map(math.isfinite, ps))):
-        _raise_row_error(rows, n)  # also 1.0 and true, which pass the lookup
     flat = np.array(idx, dtype=np.int64).reshape(2, -1)
     flat = flat[0] * 2**n + flat[1]
     if len(set(flat.tolist())) != len(rows):
@@ -453,12 +525,14 @@ def from_json_obj(obj: Mapping) -> Behavior:
     if not isinstance(obj, Mapping):
         raise StructureError("behavior JSON must be an object")
     if obj.get("format") != JSON_FORMAT:
-        raise StructureError(f"unsupported behavior format {obj.get('format')!r}")
+        raise StructureError(f"unsupported behavior format "
+                             f"{_brief(obj.get('format'))}")
     n = obj.get("parties")
     if type(n) is not int:
         raise StructureError("parties must be an integer")
     if not 2 <= n <= MAX_PARTIES:
-        raise StructureError(f"parties must be in [2, {MAX_PARTIES}], got {n}")
+        raise StructureError(f"parties must be in [2, {MAX_PARTIES}], "
+                             f"got {_brief(n)}")
     rows = obj.get("table", [])
     if not isinstance(rows, list):
         raise StructureError("table must be a JSON array")
@@ -474,9 +548,20 @@ def save_behavior(b: Behavior, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON value in a file.  Malformed JSON, nesting too deep for the
+    parser and text that is not UTF-8 raise StructureError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise StructureError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise StructureError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_behavior(path) -> Behavior:
-    with open(path) as fh:
-        return from_json_obj(json.load(fh))
+    return from_json_obj(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -491,8 +576,7 @@ def load_catalog(path) -> list[CatalogEntry]:
     Class ids must be integers, each listed once.  Every behavior is
     validated; entries that fail validation abort the load.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise StructureError("catalog must be a JSON array")
     entries = []

@@ -143,8 +143,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
 
 
 def _load_config(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = behaviors.read_json(path)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = set(obj) - set(_FLAGS)

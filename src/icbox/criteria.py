@@ -10,14 +10,13 @@ margin = lhs - rhs and a violated flag at threshold VIOLATION_TOL.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .behaviors import PARITY, Behavior, relabeling_index_maps
+from .behaviors import Behavior, correlator_orbit, correlators
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
 from .protocol import (ProtocolConfig, bias_weights, biases, guess_name,
@@ -202,30 +201,12 @@ def eval_success_bound(b: Behavior, depth: int) -> CriterionReport:
     })
 
 
-@functools.cache
-def _cached_maps(parties: int) -> np.ndarray:
-    return relabeling_index_maps(parties)
-
-
-def _orbit_tables(b: Behavior) -> np.ndarray:
-    """All relabeled variants of the behavior, flattened: (orbit, 4^N)."""
-    return b.table.ravel()[_cached_maps(b.parties)]
-
-
-def _correlators(flat_tables: np.ndarray, parties: int) -> np.ndarray:
-    """Full-party correlators C_x for each flattened table row."""
-    n_in = 2 ** parties
-    tables = flat_tables.reshape(-1, n_in, n_in)
-    signs = 1.0 - 2.0 * PARITY[:n_in]
-    return tables @ signs
-
-
-def _uffink3_values(flat_tables: np.ndarray) -> np.ndarray:
-    corr = _correlators(flat_tables, 3)
-    first = (corr[:, 0b001] + corr[:, 0b010] + corr[:, 0b100]
-             - corr[:, 0b111])
-    second = (corr[:, 0b110] + corr[:, 0b101] + corr[:, 0b011]
-              - corr[:, 0b000])
+def _uffink3_values(corr: np.ndarray) -> np.ndarray:
+    """The 3-party quadratic form of each correlator vector (last axis)."""
+    first = (corr[..., 0b001] + corr[..., 0b010] + corr[..., 0b100]
+             - corr[..., 0b111])
+    second = (corr[..., 0b110] + corr[..., 0b101] + corr[..., 0b011]
+              - corr[..., 0b000])
     return first ** 2 + second ** 2
 
 
@@ -241,8 +222,8 @@ def eval_uffink(b: Behavior) -> CriterionReport:
     if b.parties == 2:
         return replace(eval_multicopy(b), criterion_id="uffink-2")
     if b.parties == 3:
-        values = _uffink3_values(_orbit_tables(b))
-        canonical = float(_uffink3_values(b.table.ravel()[None, :])[0])
+        values = _uffink3_values(correlator_orbit(b))
+        canonical = float(_uffink3_values(correlators(b)))
         best = int(values.argmax())
         return _report("uffink-3", float(values[best]), 16.0, {
             "canonical": canonical,
@@ -256,8 +237,11 @@ def eval_uffink(b: Behavior) -> CriterionReport:
 def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     """ic-multicopy maximized over the relabeling orbit (including which
     party acts as receiver, via party permutations).  Used for catalog
-    classification, where class representatives carry arbitrary labelings."""
-    e_one, e_two = (_orbit_tables(b) @ bias_weights(b.parties)).T
+    classification, where class representatives carry arbitrary labelings.
+    E_I and E_II are those of the first variant, in the row order of
+    relabeling_index_maps, that attains the maximum.  Supports 2 to 4
+    parties."""
+    e_one, e_two = (correlator_orbit(b) @ bias_weights(b.parties)).T
     values = e_one ** 2 + e_two ** 2
     best = int(values.argmax())
     return _report("ic-multicopy", float(values[best]), 1.0, {

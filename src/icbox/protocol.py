@@ -37,11 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .behaviors import PARITY, Behavior, index_to_tuple, tuple_to_index
+from .behaviors import (PARITY, Behavior, correlators, index_to_tuple,
+                        tuple_to_index)
 from .entropy import Channel, JointDistribution, marginal
 
 MAX_SIM_DEPTH = 3        # exact concatenation enumeration cap
-MAX_SIM_PARTIES = 4
 MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
 
 CHOICE = "J"
@@ -317,14 +317,14 @@ def success_profile(b: Behavior) -> SuccessProfile:
 
 @cache
 def bias_weights(parties: int) -> np.ndarray:
-    """(4^N, 2) weights W with biases(b) = b.table.ravel() @ W: ±2^-(N-1)
-    on the entries with x_N = 0 (E_I) or 1 (E_II), + where ⊕_k a_k meets
-    the target ⊕_{k<N} x_k x_N.  Shared between calls, so read-only."""
-    x = np.arange(2 ** parties)[:, None]
+    """(2^N, 2) weights W with biases(b) = correlators(b) @ W: ±2^-(N-1)
+    on the inputs with x_N = 0 (E_I) or 1 (E_II), - where the target
+    ⊕_{k<N} x_k x_N is 1, since sum_a (-1)^(⊕_k a_k ⊕ target) p(a|x) is
+    (-1)^target C_x.  Shared between calls, so read-only."""
+    x = np.arange(2 ** parties)
     x_n = x & 1
-    target = PARITY[x >> 1] * x_n
-    sign = np.where(PARITY[:2 ** parties] == target, 1.0, -1.0)
-    w = np.stack([np.where(x_n == v, sign, 0.0).ravel() for v in (0, 1)],
+    sign = 1.0 - 2.0 * (PARITY[x >> 1] & x_n)
+    w = np.stack([np.where(x_n == v, sign, 0.0) for v in (0, 1)],
                  axis=1) / 2 ** (parties - 1)
     w.setflags(write=False)
     return w
@@ -337,8 +337,8 @@ def biases(b: Behavior) -> tuple[float, float]:
     ⊕_k a_k equals ⊕_{k<N} x_k x_N; P_II is the same at x_N = 1; the bias is
     E = 2P - 1.
     """
-    e_one, e_two = b.table.ravel() @ bias_weights(b.parties)
-    return float(e_one), float(e_two)
+    e_one, e_two = (correlators(b) @ bias_weights(b.parties)).tolist()
+    return e_one, e_two
 
 
 def concat_success_closed(e_one: float, e_two: float, depth: int, ones: int) -> float:
@@ -368,8 +368,6 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     product structure is exact; nothing here assumes anything about how
     box errors combine.
     """
-    if b.parties > MAX_SIM_PARTIES:
-        raise ValueError(f"simulation cap is {MAX_SIM_PARTIES} parties, got {b.parties}")
     if not 1 <= depth <= MAX_SIM_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_SIM_DEPTH}] for exact enumeration")
     zbits = tuple(int(v) & 1 for v in z)

@@ -280,11 +280,19 @@ class ClassificationResult:
 def classify_catalog(catalog: Sequence[CatalogEntry],
                      criteria: Sequence[str] = ("ic-multicopy", "uffink-3")
                      ) -> ClassificationResult:
+    """Orbit maxima of both criteria for every entry.  The published rows
+    are the tripartite classes, so every entry must have 3 parties; this
+    is checked before anything is evaluated."""
     allowed = {"ic-multicopy", "uffink-3"}
     bad = set(criteria) - allowed
     if bad:
         raise ValueError(f"classification supports {sorted(allowed)}, "
                          f"got extra {sorted(bad)}")
+    for i, entry in enumerate(catalog):
+        if entry.behavior.parties != 3:
+            raise ValueError(f"catalog entry {i} (class {entry.class_id}) "
+                             f"has {entry.behavior.parties} parties; "
+                             f"classification needs 3")
     rows: dict[int, dict[str, CriterionReport]] = {}
     for entry in catalog:
         reps = {}

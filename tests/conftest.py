@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from icbox.behaviors import (Behavior, all_local_deterministic, bit_tuples,
-                             mix, named_box)
+                             local_deterministic, mix, named_box)
 
 _DET_CACHE: dict[int, list[Behavior]] = {}
+SAMPLED_DETS = 32   # beyond 4 parties, mix this many drawn deterministic boxes
 
 
 def local_deterministic_boxes(parties: int) -> list[Behavior]:
@@ -47,8 +48,14 @@ def random_local_mixture(rng: np.random.Generator, parties: int,
                          extremal: Behavior | None = None,
                          extremal_weight: float = 0.0) -> Behavior:
     """Random convex mixture of local deterministic boxes, optionally with a
-    fixed weight on one extremal no-signaling box.  Always no-signaling."""
-    dets = local_deterministic_boxes(parties)
+    fixed weight on one extremal no-signaling box.  Always no-signaling.
+    Up to 4 parties every deterministic box takes part; beyond, a random
+    sample of them (all 4^6 tables at 6 parties would take 134 MB)."""
+    if parties <= 4:
+        dets = local_deterministic_boxes(parties)
+    else:
+        dets = [local_deterministic(parties, funcs) for funcs in
+                rng.integers(0, 2, (SAMPLED_DETS, parties, 2)).tolist()]
     weights = rng.dirichlet(np.ones(len(dets))) * (1.0 - extremal_weight)
     comps = list(zip(weights.tolist(), dets))
     if extremal is not None and extremal_weight > 0.0:

@@ -1,10 +1,13 @@
+import copy
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_svetlichny, random_local_mixture
+from conftest import make_svetlichny, random_local_mixture, random_ns_box
 from icbox import behaviors as bh
 
 
@@ -217,6 +220,45 @@ def test_relabeling_index_map_rows(n):
         assert maps[g].tolist() == want
 
 
+def _table_correlators(flat: np.ndarray, n: int) -> np.ndarray:
+    return flat.reshape(-1, 2 ** n, 2 ** n) @ (1.0 - 2.0 * bh.PARITY[:2 ** n])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correlator_orbit_matches_relabeled_tables(n):
+    b = random_ns_box(np.random.default_rng(40 + n), n)
+    want = _table_correlators(b.table.ravel()[bh.relabeling_index_maps(n)], n)
+    got = bh.correlator_orbit(b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_correlator_orbit_four_parties_sampled_rows():
+    n = 4
+    b = random_ns_box(np.random.default_rng(44), n)
+    orbit = bh.correlator_orbit(b)
+    assert orbit.shape == (24 * 16 ** 3, 16)
+    perms = list(itertools.permutations(range(n)))
+    for g in np.random.default_rng(4).choice(orbit.shape[0], 200,
+                                             replace=False):
+        rest, alpha = divmod(int(g), 16)
+        rest, beta = divmod(rest, 16)
+        p, flip = divmod(rest, 16)
+        src = bh._source_index(n, perms[p], flip, beta, alpha)
+        want = _table_correlators(b.table.ravel()[src], n)[0]
+        assert np.abs(orbit[g] - want).max() <= 1e-15
+
+
+def test_orbit_index_size_and_party_limit():
+    assert bh.correlator_orbit_index(4).nbytes <= 16 * 2 ** 20
+    assert not bh.correlator_orbit_index(3).flags.writeable
+    for n in (1, 5, 6):
+        with pytest.raises(ValueError, match="2 to 4 parties"):
+            bh.correlator_orbit_index(n)
+        with pytest.raises(ValueError, match="2 to 4 parties"):
+            bh.relabeling_index_maps(n)
+
+
 def test_relabeling_masks_need_one_bit_per_party():
     b = bh.named_box("box45", parties=3)
     with pytest.raises(ValueError):
@@ -271,6 +313,104 @@ def test_from_json_rejects_repeated_entries_and_non_rows():
     for table in ([[0, 0]], [{"x": [0, 0], "a": [0, 0]}], {"x": [0, 0]}):
         with pytest.raises(bh.StructureError):
             bh.from_json_obj(dict(obj, table=table))
+
+
+def test_from_json_rejects_p_beyond_float_range():
+    obj = bh.to_json_obj(bh.named_box("pr"))
+    obj["table"][1] = {**obj["table"][1], "p": 10 ** 400}
+    with pytest.raises(bh.StructureError, match="entry 1: p"):
+        bh.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, "{\"a\": 1", "\udcff"])
+def test_read_json_maps_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, errors="surrogateescape")
+    with pytest.raises(bh.StructureError):
+        bh.read_json(path)
+    with pytest.raises(bh.StructureError):
+        bh.load_behavior(path)
+    with pytest.raises(bh.StructureError):
+        bh.load_catalog(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20)
+# values that a row field or a bit is likely to be mistyped as; 10 ** 5000
+# has too many digits for repr
+NEAR_VALUES = st.sampled_from([2, -1, True, 1.0, 0.5, -0.5, float("nan"),
+                               float("inf"), 10 ** 400, 10 ** 5000, "0", [0],
+                               [0, 1, 1]]
+                              ).map(copy.deepcopy)  # mutations edit lists
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a parsed JSON value, the root included."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated(obj, path, action, value):
+    """obj with the value at path replaced, deleted or duplicated."""
+    if not path:
+        return value
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "replace":
+        parent[path[-1]] = value
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.append(json.loads(json.dumps(parent[path[-1]])))
+    else:
+        parent[path[-1] + "_"] = value
+    return obj
+
+
+def _parses_or_refuses(obj):
+    """from_json_obj returns a Behavior or raises StructureError; any other
+    exception fails the test."""
+    try:
+        assert isinstance(bh.from_json_obj(obj), bh.Behavior)
+    except bh.StructureError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_from_json_fuzz_arbitrary_values(value):
+    for obj in (value, {"format": "nsbox-v1", "parties": 2, "table": value},
+                {"format": "nsbox-v1", "parties": value, "table": []}):
+        _parses_or_refuses(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), parties=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_from_json_fuzz_near_valid(data, parties, seed):
+    obj = json.loads(json.dumps(bh.to_json_obj(
+        random_ns_box(np.random.default_rng(seed), parties))))
+    values = NEAR_VALUES | JSON_VALUES
+    row = data.draw(st.integers(0, len(obj["table"]) - 1))
+    obj["table"][row].update(data.draw(st.dictionaries(
+        st.sampled_from(["x", "a", "p"]), values)))
+    obj.update(data.draw(st.dictionaries(
+        st.sampled_from(["format", "parties", "table"]), values,
+        max_size=1)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(list(_json_paths(obj))))
+        action = data.draw(st.sampled_from(["replace", "delete",
+                                            "duplicate"]))
+        obj = _mutated(obj, path, action, data.draw(values))
+    _parses_or_refuses(obj)
 
 
 def test_load_catalog_errors(tmp_path):

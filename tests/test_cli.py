@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icbox import cli
-from icbox.behaviors import named_box, save_behavior
+from icbox.behaviors import named_box, save_behavior, to_json_obj
 
 
 def run(capsys, *argv):
@@ -331,3 +331,33 @@ def test_repeated_catalog_class_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--catalog", str(path))
     assert code == 2 and out == ""
     assert "repeats class 45" in err
+
+
+def test_classify_refuses_non_tripartite_catalog(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(
+        [{"class": 45, "behavior": to_json_obj(named_box("pr"))}]))
+    code, out, err = run(capsys, "classify", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert "catalog entry 0 (class 45) has 2 parties" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    for argv in (["eval", "--box", f"file:{path}", "--criterion",
+                  "ic-multicopy"],
+                 ["classify", "--catalog", str(path)],
+                 ["classify", "--config", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err
+
+
+def test_probability_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"format": "nsbox-v1", "parties": 2, "table": '
+                    '[{"x": [0, 0], "a": [0, 0], "p": 1' + "0" * 400 + "}]}")
+    code, out, err = run(capsys, "box", "--box", f"file:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: table entry 0: p must be a finite number")

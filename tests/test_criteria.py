@@ -151,6 +151,10 @@ def test_multicopy_orbit_max_frozen_values():
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.details["orbit_size"] == 128
 
+    rep = multicopy_orbit_max(named_box("box45", parties=4))
+    assert rep.lhs == pytest.approx(2.0, abs=1e-12)
+    assert rep.details["orbit_size"] == 24 * 16 ** 3
+
 
 def test_orbit_never_below_canonical():
     rng = np.random.default_rng(22)

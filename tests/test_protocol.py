@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_svetlichny, random_ns_box
-from icbox.behaviors import PARITY, named_box, tuple_to_index
+from icbox.behaviors import PARITY, mix, named_box, tuple_to_index
 from icbox.entropy import (Channel, JointDistribution,
                            cond_mutual_information, marginal,
                            mutual_information)
@@ -182,7 +182,7 @@ def test_concat_simulated_matches_closed_asymmetric():
         assert abs(got - 0.575) <= 1e-12
 
 
-@pytest.mark.parametrize("parties", [2, 3, 4])
+@pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_concat_simulated_matches_closed_random(parties, seed):
@@ -209,8 +209,15 @@ def test_simulation_caps():
         concat_success_simulated(b, 0, ())
     with pytest.raises(ValueError):
         concat_success_simulated(b, 2, (0,))
-    with pytest.raises(ValueError):
-        concat_success_simulated(named_box("white", parties=5), 1, (0,))
+    # no party cap: a tree level touches 4 n^3 cells, n = 2^(N-1)
+    for parties in (5, 6):
+        b = mix([(0.5, named_box("box45", parties=parties)),
+                 (0.3, named_box("deterministic-zero", parties=parties)),
+                 (0.2, named_box("white", parties=parties))])
+        e_one, e_two = biases(b)
+        for z in ((0,), (1, 0), (0, 1, 1)):
+            want = concat_success_closed(e_one, e_two, len(z), sum(z))
+            assert abs(concat_success_simulated(b, len(z), z) - want) <= 1e-12
 
 
 def _naive_concat_depth1(b, z1):

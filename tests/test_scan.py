@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_svetlichny
+from icbox import scan
 from icbox.behaviors import CatalogEntry, named_box
 from icbox.scan import (BISECTION_TOL, BOUNDARY_HEADER, CSV_HEADER,
                         REFERENCE_VIOLATORS, SliceSpec, bisect_threshold,
@@ -179,6 +180,19 @@ def test_classify_mismatch_diff():
     diff = result.diff_vs_reference()
     assert diff == ["MISMATCH class 45 ic-multicopy: reference says "
                     "violated=true, computed violated=false"]
+
+
+def test_classify_refuses_entries_that_are_not_tripartite(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scan, "multicopy_orbit_max", calls.append)
+    monkeypatch.setattr(scan, "eval_uffink", calls.append)
+    for parties in (2, 4, 5):
+        catalog = _toy_catalog() + [
+            CatalogEntry(7, named_box("white", parties=parties))]
+        with pytest.raises(ValueError, match=r"entry 3 \(class 7\) has "
+                                             f"{parties} parties"):
+            classify_catalog(catalog)
+    assert calls == []  # refused before any entry is evaluated
 
 
 def test_classify_rejects_other_criteria():

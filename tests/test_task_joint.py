@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ns_box
-from icbox import criteria, protocol
+from icbox import criteria
 from icbox.behaviors import named_box
 from icbox.entropy import Channel, JointDistribution, marginal
 from icbox.protocol import (ProtocolConfig, single_copy_joint,
@@ -112,13 +112,9 @@ def _assert_close(got, want):
 def test_reports_unchanged_against_dense_path(name, monkeypatch):
     b = BUILTINS[name]
     compact = _reports(b)
-    profile = success_profile(b).probabilities
     # the dense run joint carries every variable the evaluators read
     monkeypatch.setattr(criteria, "task_joint", single_copy_joint)
-    monkeypatch.setattr(protocol, "task_joint", single_copy_joint)
     _assert_close(compact, _reports(b))
-    assert success_profile(b).probabilities == pytest.approx(profile,
-                                                             abs=1e-12)
 
 
 @pytest.mark.parametrize("parties", [5, 6])
