@@ -17,7 +17,7 @@ from .entropy import (Channel, JointDistribution, apply_channel,
                       marginal, mutual_information)
 from .protocol import (ProtocolConfig, SuccessProfile, biases,
                        concat_success_closed, concat_success_simulated,
-                       single_copy_joint, success_profile, task_joint)
+                       single_copy_joint, success_profile, task_joints)
 from .scan import (BoundaryPoint, SliceSpec, boundary, classify_catalog,
                    default_slice, scan_slice, slice_point)
 
@@ -35,7 +35,7 @@ __all__ = [
     "mutual_information",
     "ProtocolConfig", "SuccessProfile", "biases", "concat_success_closed",
     "concat_success_simulated", "single_copy_joint", "success_profile",
-    "task_joint",
+    "task_joints",
     "BoundaryPoint", "SliceSpec", "boundary", "classify_catalog",
     "default_slice", "scan_slice", "slice_point",
     "__version__",

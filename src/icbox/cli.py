@@ -263,6 +263,8 @@ def _cmd_concat(args: argparse.Namespace) -> int:
     if any(ch not in "01" for ch in args.z):
         raise ValueError(f"--z must be a bitstring, got {args.z!r}")
     zbits = tuple(int(ch) for ch in args.z)
+    if len(zbits) != args.depth:
+        raise ValueError(f"--z must have {args.depth} bits, got {len(zbits)}")
     if args.closed:
         e_one, e_two = protocol.biases(box)
         value = protocol.concat_success_closed(e_one, e_two, args.depth,
@@ -324,7 +326,7 @@ _BOX = ("box", "parties")
 _COMMANDS = {
     "validate": (_cmd_validate, (*_BOX, "out")),
     "box": (_cmd_box, (*_BOX, "out", "emit")),
-    "protocol": (_cmd_protocol, (*_BOX, "epsilon_channel", "out")),
+    "protocol": (_cmd_protocol, (*_BOX, "out")),
     "eval": (_cmd_eval, (*_BOX, "criterion", "depth", "epsilon_channel",
                          "out", "json", "fail_on_violation")),
     "concat": (_cmd_concat, (*_BOX, "depth", "z", "out", "closed")),

@@ -1,18 +1,21 @@
 """Information-causality style criteria evaluated on boxes and task joints.
 
 Entropic criteria (ic-bipartite, ic-bipartite-strong, ic-multi, ic-noisy)
-read mutual informations off the exact task joint (protocol.task_joint); the
-quadratic criteria (ic-multicopy, uffink-2, uffink-3) and the concatenated
-success bound (ic-success-bound) are closed forms in the box biases and
-correlators.  Every evaluator returns a CriterionReport with lhs, rhs,
-margin = lhs - rhs and a violated flag at threshold VIOLATION_TOL.
+read mutual informations off the exact per-choice task joints
+(protocol.task_joints): a term that holds the guess G_i reads joints[i-1],
+the run in which the receiver picked bit i, and a term without a guess
+reads joints[0].  The quadratic criteria (ic-multicopy, uffink-2, uffink-3)
+and the concatenated success bound (ic-success-bound) are closed forms in
+the box biases and correlators.  Every evaluator returns a CriterionReport
+with lhs, rhs, margin = lhs - rhs and a violated flag at threshold
+VIOLATION_TOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .behaviors import Behavior, correlator_orbit, correlators
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
 from .protocol import (ProtocolConfig, bias_weights, biases, guess_name,
-                       message_name, noisy_message_name, task_joint,
+                       message_name, noisy_message_name, task_joints,
                        x_bit_name)
 # not called here: the benchmark's tracer self-test reads this binding
 from .protocol import single_copy_joint  # noqa: F401
@@ -80,25 +83,29 @@ def _joint_senders(joint: JointDistribution) -> list[int]:
     return out
 
 
-def eval_bipartite_ic(joint: JointDistribution) -> CriterionReport:
-    """Sum_i I(X_i : G_i) against the message entropy H(M)."""
-    bits = _joint_bits(joint, 1)
-    terms = [mutual_information(joint, x_bit_name(1, i), guess_name(i))
-             for i in bits]
-    rhs = entropy(joint, message_name(1))
+def eval_bipartite_ic(joints: Sequence[JointDistribution]
+                      ) -> CriterionReport:
+    """Sum_i I(X_i : G_i) against the message entropy H(M); joints[i-1]
+    carries G_i."""
+    bits = _joint_bits(joints[0], 1)
+    terms = [mutual_information(joints[i - 1], x_bit_name(1, i),
+                                guess_name(i)) for i in bits]
+    rhs = entropy(joints[0], message_name(1))
     return _report("ic-bipartite", sum(terms), rhs,
                    {"terms": terms})
 
 
-def eval_stronger_bipartite(joint: JointDistribution) -> CriterionReport:
+def eval_stronger_bipartite(joints: Sequence[JointDistribution]
+                            ) -> CriterionReport:
     """Message-conditioned strengthening of the bipartite criterion.
 
     LHS = Sum_i I(X_i : G_i, M) + Sum_{i>=2} I(X_1 : X_i | G_i, M);
     RHS = H(M) + Sum_{i>=2} H(X_i) - H(X_2,...,X_n), which reduces to H(M)
     for independent input bits.  Only independent inputs are supported: the
     RHS correction is exactly zero there, and that is the regime this
-    strengthening is stated for.
+    strengthening is stated for.  joints[i-1] carries G_i.
     """
+    joint = joints[0]
     bits = _joint_bits(joint, 1)
     xs = [x_bit_name(1, i) for i in bits]
     for i in range(1, len(xs)):
@@ -109,9 +116,10 @@ def eval_stronger_bipartite(joint: JointDistribution) -> CriterionReport:
     m = message_name(1)
     lhs = 0.0
     for i in bits:
-        lhs += mutual_information(joint, xs[i - 1], (guess_name(i), m))
+        lhs += mutual_information(joints[i - 1], xs[i - 1],
+                                  (guess_name(i), m))
     for i in bits[1:]:
-        lhs += cond_mutual_information(joint, xs[0], xs[i - 1],
+        lhs += cond_mutual_information(joints[i - 1], xs[0], xs[i - 1],
                                        (guess_name(i), m))
     rhs = entropy(joint, m)
     if len(xs) > 1:
@@ -120,17 +128,19 @@ def eval_stronger_bipartite(joint: JointDistribution) -> CriterionReport:
     return _report("ic-bipartite-strong", lhs, rhs, {})
 
 
-def _multi_lhs_terms(joint: JointDistribution, senders: list[int],
-                     bits: list[int], pick: list[int] | None = None
+def _multi_lhs_terms(joints: Sequence[JointDistribution],
+                     senders: list[int], bits: list[int],
+                     pick: list[int] | None = None
                      ) -> dict[tuple[int, int], float]:
-    """I(X_i^k : X_i^(others), G_i) for each requested sender k and bit i."""
+    """I(X_i^k : X_i^(others), G_i) for each requested sender k and bit i,
+    read off joints[i-1]."""
     todo = senders if pick is None else pick
     out = {}
     for k in todo:
         for i in bits:
             others = tuple(x_bit_name(j, i) for j in senders if j != k)
             out[(k, i)] = mutual_information(
-                joint, x_bit_name(k, i), others + (guess_name(i),))
+                joints[i - 1], x_bit_name(k, i), others + (guess_name(i),))
     return out
 
 
@@ -146,10 +156,13 @@ def _input_correlation_term(joint: JointDistribution, senders: list[int],
     return total
 
 
-def eval_multipartite_ic(joint: JointDistribution, parties: int | None = None,
+def eval_multipartite_ic(joints: Sequence[JointDistribution],
+                         parties: int | None = None,
                          bits_per_sender: int | None = None) -> CriterionReport:
     """Sum over senders of bitwise guess informations against the joint
-    message entropy plus the input-correlation correction."""
+    message entropy plus the input-correlation correction; joints[i-1]
+    carries G_i."""
+    joint = joints[0]
     senders = _joint_senders(joint)
     bits = _joint_bits(joint, 1)
     if parties is not None and parties != len(senders) + 1:
@@ -158,7 +171,7 @@ def eval_multipartite_ic(joint: JointDistribution, parties: int | None = None,
     if bits_per_sender is not None and bits_per_sender != len(bits):
         raise ValueError(f"joint carries {len(bits)} bits per sender, "
                          f"expected {bits_per_sender}")
-    terms = _multi_lhs_terms(joint, senders, bits)
+    terms = _multi_lhs_terms(joints, senders, bits)
     lhs = sum(terms.values())
     msg_entropy = entropy(joint, tuple(message_name(k) for k in senders))
     correction = _input_correlation_term(joint, senders, bits)
@@ -276,9 +289,10 @@ def eval_noisy_ic(b: Behavior, epsilon: float,
     for k in senders:
         cfg = ProtocolConfig(parties=b.parties, channel=channel,
                              input_distribution=input_distribution)
-        joint = task_joint(b, cfg, noisy_senders=(k,))
+        joints = task_joints(b, cfg, noisy_senders=(k,))
+        joint = joints[0]
         bits = _joint_bits(joint, k)
-        terms = _multi_lhs_terms(joint, senders, bits, pick=[k])
+        terms = _multi_lhs_terms(joints, senders, bits, pick=[k])
         cap_k = mutual_information(joint, message_name(k),
                                    noisy_message_name(k))
         correction += _input_correlation_term(joint, senders, bits, pick=[k])
@@ -298,8 +312,8 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
              epsilon: float | None = None,
              input_distribution: JointDistribution | None = None
              ) -> CriterionReport:
-    """Dispatch a criterion id against a behavior, building the task joint
-    when the criterion needs one."""
+    """Dispatch a criterion id against a behavior, building the task joints
+    when the criterion needs them."""
     if criterion_id not in CRITERION_IDS:
         raise ValueError(f"unknown criterion {criterion_id!r}; "
                          f"known: {', '.join(CRITERION_IDS)}")
@@ -307,13 +321,13 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
         if criterion_id != "ic-multi" and b.parties != 2:
             raise ValueError(f"{criterion_id} needs a 2-party behavior, "
                              f"got {b.parties} parties")
-        joint = task_joint(b, ProtocolConfig(
+        joints = task_joints(b, ProtocolConfig(
             parties=b.parties, input_distribution=input_distribution))
         if criterion_id == "ic-multi":
-            return eval_multipartite_ic(joint)
+            return eval_multipartite_ic(joints)
         if criterion_id == "ic-bipartite":
-            return eval_bipartite_ic(joint)
-        return eval_stronger_bipartite(joint)
+            return eval_bipartite_ic(joints)
+        return eval_stronger_bipartite(joints)
     if criterion_id == "ic-multicopy":
         return eval_multicopy(b)
     if criterion_id == "ic-success-bound":

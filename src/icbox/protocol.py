@@ -13,19 +13,15 @@ level (z_l at level l, root is level 1), and recovering the selected
 subtree's message XOR at each step leaves a guess for bit position
 1 + sum_l z_l 2^(K-l).
 
-The two guesses G_1, G_2 live on one sample space by drawing the receiver's
-outcome for each choice from p(c | a_senders, x_senders, x_N = choice),
-which no-signaling makes well defined; any marginal involving a single G_i
-equals the run distribution conditioned on J picking it, and those are the
-only marginals the criteria read.
-
-task_joint is the distribution the criteria read: the input bits, the
-messages (and their channel outputs) and the two guesses, 2^(3(N-1)+2)
-atoms without a channel.  Given the input bits, (a, c_1, c_2, channel
-flips) and (M, M', G_1, G_2) determine each other, so every atom is one
-box weight and the table is a single scatter.  single_copy_joint builds
-the full run joint (box inputs and outcomes, choice J as well) by direct
-enumeration; it is kept as the test oracle for task_joint.
+task_joints gives what the entropic criteria read: for each receiver
+choice, the run joint of the input bits, the messages (and their channel
+outputs) and the guess G_i picked by that choice, 2^(3(N-1)+1) atoms without
+a channel.  Given the input bits, (a, c, channel flips) and (M, M', G_i)
+determine each other, so every atom is one box weight p(a, c | x, i-1) times
+the input and flip weights: a fixed gather of the box table, exact for any
+table.  single_copy_joint builds the full run joint (box inputs and
+outcomes, choice J, and both guesses on one sample space) by direct
+enumeration; it is kept as the test oracle for task_joints.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from .behaviors import (PARITY, Behavior, correlators, index_to_tuple,
                         tuple_to_index)
 from .entropy import Channel, JointDistribution, marginal
 
-MAX_SIM_DEPTH = 3        # exact concatenation enumeration cap
 MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
 
 CHOICE = "J"
@@ -100,18 +95,6 @@ def x_bit_names(parties: int, bits: int = 2) -> list[str]:
     return [x_bit_name(k, i) for k in range(1, parties) for i in range(1, bits + 1)]
 
 
-def _split_tables(b: Behavior) -> tuple[np.ndarray, np.ndarray]:
-    """(P_full[xs, v, as, c], P_send[xs, as]) with the receiver split off.
-
-    The receiver is the last party, so its input/outcome bits are the least
-    significant ones of the behavior's row/column indices.
-    """
-    n = b.parties
-    full = b.table.reshape(2 ** (n - 1), 2, 2 ** (n - 1), 2)
-    send = full[:, 0].sum(axis=-1)  # x_N marginal-independent once validated
-    return full, send
-
-
 def _resolve_noisy(b: Behavior, cfg: ProtocolConfig | None,
                    noisy_senders: Sequence[int] | None
                    ) -> tuple[ProtocolConfig, tuple[int, ...]]:
@@ -132,21 +115,23 @@ def _resolve_noisy(b: Behavior, cfg: ProtocolConfig | None,
     return cfg, noisy
 
 
-def task_joint_names(parties: int, noisy: Sequence[int] = ()) -> list[str]:
-    """Variables of task_joint, in axis order."""
+def task_joint_names(parties: int, i: int,
+                     noisy: Sequence[int] = ()) -> list[str]:
+    """Variables of the task joint for receiver choice i, in axis order."""
     return (x_bit_names(parties)
             + [message_name(k) for k in range(1, parties)]
             + [noisy_message_name(k) for k in noisy]
-            + [guess_name(1), guess_name(2)])
+            + [guess_name(i)])
 
 
 @cache
-def _task_layout(n_send: int, noisy: tuple[int, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, atom): xs[X] is the senders' box input for input-bit index X,
-    and atom, raveled from [X, a, c_1, c_2, f], the flat task_joint index
-    that the run with sender outcomes a, receiver outcomes c_i and channel
-    flips f lands on.  Both are shared between calls, so read-only."""
+def _task_index(n_send: int, noisy: tuple[int, ...]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(src, flip) over the atoms of a task joint, raveled from
+    [X, M, M', G]: src[v] is the flat box-table index of the run
+    (x, x_N = v, a, c) that lands on the atom under choice v, and flip the
+    index of its channel flips f, which only depends on [M, M', G].  Both
+    are shared between calls, so read-only."""
     n_x, n_msg, n_flip = 4 ** n_send, 2 ** n_send, 2 ** len(noisy)
     x_idx = np.arange(n_x)
     first = np.zeros(n_x, dtype=np.int64)
@@ -154,61 +139,55 @@ def _task_layout(n_send: int, noisy: tuple[int, ...]
     for k in range(n_send):  # X_1^k, X_2^k are bits 2(ns-k)-1, 2(ns-k)-2
         first = (first << 1) | ((x_idx >> (2 * (n_send - k) - 1)) & 1)
         second = (second << 1) | ((x_idx >> (2 * (n_send - k) - 2)) & 1)
-    msgs = first[:, None] ^ np.arange(n_msg)[None, :]        # [X, a]
+    msgs = np.arange(n_msg)
     noisy_bits = np.zeros_like(msgs)                         # M_k, k noisy
     for k in noisy:
         noisy_bits = (noisy_bits << 1) | ((msgs >> (n_send - k)) & 1)
-    flips = np.arange(n_flip)
+    flips = noisy_bits[:, None] ^ np.arange(n_flip)          # [M, M']
     # the receiver decodes from M_k' = M_k ⊕ f_k for noisy senders
-    decode = PARITY[msgs][:, :, None] ^ PARITY[flips][None, None, :]
-    head = ((x_idx[:, None, None] * n_msg + msgs[:, :, None]) * n_flip
-            + (noisy_bits[:, :, None] ^ flips[None, None, :]))  # [X, a, f]
-    c = np.arange(2)
-    g_one = decode[:, :, None, None, :] ^ c[:, None, None]
-    g_two = decode[:, :, None, None, :] ^ c[:, None]
-    atom = ((head[:, :, None, None, :] * 2 + g_one) * 2 + g_two).ravel()
-    xs = first ^ second
-    for arr in (xs, atom):
+    c = (PARITY[msgs][:, None] ^ PARITY[flips])[:, :, None] ^ np.arange(2)
+    a = first[:, None] ^ msgs                                # [X, M]
+    row = 2 * (first ^ second)[:, None, None, None]
+    src = (row * n_msg + a[:, :, None, None]) * 2 + c        # [X, M, M', G]
+    src = np.stack([src.ravel(), src.ravel() + 2 * n_msg])
+    flip = np.broadcast_to(flips[:, :, None], c.shape).ravel()
+    for arr in (src, flip):
         arr.setflags(write=False)
-    return xs, atom
+    return src, flip
 
 
-def task_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
-               noisy_senders: Sequence[int] | None = None) -> JointDistribution:
-    """Exact joint of the input bits, messages and guesses of a single run.
+def task_joints(b: Behavior, cfg: ProtocolConfig | None = None, *,
+                noisy_senders: Sequence[int] | None = None
+                ) -> tuple[JointDistribution, JointDistribution]:
+    """Exact run joints of the input bits, messages and guess, one per
+    receiver choice; joints[i-1] carries G_i.
 
     Variables (task_joint_names): X_i^k, M_k, M_kp for the senders behind
-    the channel, G_1, G_2.  This is the marginal of single_copy_joint on
-    those variables.  With a channel configured, noisy_senders selects which
-    messages pass through it (default: all of them); the guesses are
+    the channel, G_i.  With a channel configured, noisy_senders selects
+    which messages pass through it (default: all of them); the guess is
     decoded from M_kp for those senders and from M_k for the rest.
 
-    The weight of the run (X, a, c_1, c_2, f) is
-    w_X p(a, c_1 | x, 0) p(a, c_2 | x, 1) / p(a | x) times the flip weights,
-    where p(a | x) is the senders' marginal, well defined for a
-    no-signaling box.
+    The weight of the run (X, a, c, f) under choice i is
+    w_X p(a, c | x, x_N = i-1) times the flip weights.  This reads the box
+    table and divides by nothing, so each joint is normalized for any
+    normalized table; for a no-signaling box it equals single_copy_joint
+    conditioned on J = i-1.
     """
     cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
     n_send = b.parties - 1
-    full, send = _split_tables(b)
-    xs, atom = _task_layout(n_send, noisy)
-
-    rows = full[xs]                                          # [X, v, a, c]
-    p_send = send[xs]                                        # [X, a]
-    inv = np.divide(1.0, p_send, out=np.zeros_like(p_send),
-                    where=p_send > 0.0)
-    w = ((rows[:, 0, :, :, None] * rows[:, 1, :, None, :])
-         * (inv * _input_weights(cfg, b.parties).reshape(-1, 1))[:, :, None, None])
+    src, flip = _task_index(n_send, noisy)
+    w = b.table.ravel()[src].reshape(2, 4 ** n_send, -1)
+    w *= _input_weights(cfg, b.parties).reshape(-1, 1)
     if noisy:
         eps = cfg.channel.epsilon
         flip_w = np.ones(1)
         for _ in noisy:
             flip_w = np.multiply.outer(flip_w, (1.0 - eps, eps)).ravel()
-        w = w[..., None] * flip_w
-    probs = np.empty(atom.size)
-    probs[atom] = w.ravel()
-    return JointDistribution(tuple(task_joint_names(b.parties, noisy)),
-                             probs.reshape((2,) * (3 * n_send + 2 + len(noisy))))
+        w *= flip_w[flip]
+    shape = (2,) * (3 * n_send + 1 + len(noisy))
+    return tuple(JointDistribution(
+        tuple(task_joint_names(b.parties, i, noisy)), w[i - 1].reshape(shape))
+        for i in (1, 2))
 
 
 def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
@@ -220,7 +199,9 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
     which messages pass through it (default: all of them); the guesses are
     decoded from M_kp for those senders and from M_k for the rest.  Built by
     enumeration and capped at MAX_JOINT_VARS variables; it is the test
-    oracle for task_joint, which the criteria use.
+    oracle for task_joints, which the criteria use.  It draws c_1 and c_2
+    from p(c | a, x, x_N) given the senders' p(a | x), which is well
+    defined only for a no-signaling box.
     """
     cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
     n_parties = b.parties
@@ -238,8 +219,10 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
             f"joint would need {len(names)} binary variables; dense cap is "
             f"{MAX_JOINT_VARS} (reduce parties or noisy senders)")
 
-    full, send = _split_tables(b)
     ns = n_parties - 1
+    # [xs, x_N, as, c]: the receiver's bits are the least significant ones
+    full = b.table.reshape(2 ** ns, 2, 2 ** ns, 2)
+    send = full[:, 0].sum(axis=-1)  # p(a | x), x_N-independent once validated
 
     w_inputs = _input_weights(cfg, n_parties)
     eps = cfg.channel.epsilon if cfg.channel is not None else 0.0
@@ -368,14 +351,14 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     product structure is exact; nothing here assumes anything about how
     box errors combine.
     """
-    if not 1 <= depth <= MAX_SIM_DEPTH:
-        raise ValueError(f"depth must be in [1, {MAX_SIM_DEPTH}] for exact enumeration")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     zbits = tuple(int(v) & 1 for v in z)
     if len(zbits) != depth:
         raise ValueError(f"z must have {depth} bits, got {len(zbits)}")
 
-    full, _ = _split_tables(b)
     n_msgs = 2 ** (b.parties - 1)
+    full = b.table.reshape(n_msgs, 2, n_msgs, 2)             # [xs, v, a, c]
     m_sel, r_sel, m_off, a, c = np.ix_(*(np.arange(k) for k in
                                          (n_msgs, 2, n_msgs, n_msgs, 2)))
     sel = np.zeros((n_msgs, 2))

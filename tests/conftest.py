@@ -63,6 +63,31 @@ def random_local_mixture(rng: np.random.Generator, parties: int,
     return mix(comps)
 
 
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def qubit_box(state: np.ndarray, directions: np.ndarray) -> Behavior:
+    """Quantum box p(a|x) = <psi| (x)_k P_k(a_k|x_k) |psi> of an N-qubit
+    state (2^N amplitudes, party 1 the most significant qubit) measured by
+    party k on input x along the Bloch vector directions[k][x], outcome
+    a = 0 on the +1 eigenvector."""
+    n = len(directions)
+    psi = np.asarray(state, dtype=complex).reshape((2,) * n)
+    psi = psi / np.linalg.norm(psi)
+    bases = []
+    for dirs in directions:      # per party: [x, a, qubit] = <e_a^x|
+        rows = []
+        for v in dirs:
+            v = np.asarray(v, dtype=float) / np.linalg.norm(v)
+            _, vecs = np.linalg.eigh(np.tensordot(v, _PAULIS, axes=1))
+            rows.append(vecs[:, ::-1].conj().T)   # eigenvalue +1 first
+        bases.append(np.stack(rows))
+    qubits, inputs, outs = "abcdef"[:n], "ghijkl"[:n], "mnopqr"[:n]
+    spec = ",".join(f"{inputs[k]}{outs[k]}{qubits[k]}" for k in range(n))
+    amp = np.einsum(f"{spec},{qubits}->{inputs}{outs}", *bases, psi)
+    return Behavior(n, (np.abs(amp) ** 2).reshape(2 ** n, 2 ** n))
+
+
 def random_ns_box(rng: np.random.Generator, parties: int) -> Behavior:
     """Random no-signaling box: local mixture blended with a random weight on
     the parity-extremal box for the scenario."""

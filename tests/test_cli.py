@@ -107,6 +107,23 @@ def test_concat_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("closed", [[], ["--closed"]])
+@pytest.mark.parametrize("z", ["1", "", "0110"])
+def test_concat_z_length_must_match_depth(capsys, closed, z):
+    code, out, err = run(capsys, "concat", "--box", "builtin:box45",
+                         "--depth", "3", "--z", z, *closed)
+    assert code == 2 and out == ""
+    assert "--z must have 3 bits" in err
+
+
+def test_protocol_has_no_channel_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["protocol", "--box", "builtin:box45",
+                  "--epsilon-channel", "0.3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_validate_and_box_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--box", "builtin:box45")
     assert code == 0 and out == "valid\n"

@@ -44,7 +44,8 @@ def test_bipartite_frozen_values():
     assert rep.violated
     assert rep.details["terms"] == pytest.approx((1.0, 1.0), abs=1e-12)
     # direct joint entry point agrees with the dispatcher
-    direct = eval_bipartite_ic(single_copy_joint(named_box("pr")))
+    dense = single_copy_joint(named_box("pr"))
+    direct = eval_bipartite_ic((dense, dense))
     assert direct.lhs == rep.lhs and direct.rhs == rep.rhs
 
     rep = evaluate("ic-bipartite", named_box("isotropic", parties=2, bias=0.5))
@@ -71,7 +72,8 @@ def test_stronger_bipartite():
     rep = evaluate("ic-bipartite-strong", named_box("white", parties=2))
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
 
-    direct = eval_stronger_bipartite(single_copy_joint(named_box("pr")))
+    dense = single_copy_joint(named_box("pr"))
+    direct = eval_stronger_bipartite((dense, dense))
     assert direct.lhs == pytest.approx(2.0, abs=1e-12)
 
 
@@ -105,12 +107,12 @@ def test_multipartite_frozen_values():
 
 
 def test_multipartite_joint_shape_checks():
-    joint = single_copy_joint(named_box("box45"))
+    joints = (single_copy_joint(named_box("box45")),) * 2
     with pytest.raises(ValueError):
-        eval_multipartite_ic(joint, parties=4)
+        eval_multipartite_ic(joints, parties=4)
     with pytest.raises(ValueError):
-        eval_multipartite_ic(joint, bits_per_sender=4)
-    rep = eval_multipartite_ic(joint, parties=3, bits_per_sender=2)
+        eval_multipartite_ic(joints, bits_per_sender=4)
+    rep = eval_multipartite_ic(joints, parties=3, bits_per_sender=2)
     assert rep.lhs == pytest.approx(4.0, abs=1e-12)
 
 

@@ -204,11 +204,19 @@ def test_z_permutation_symmetry_isotropic():
 def test_simulation_caps():
     b = named_box("isotropic", bias=0.5)
     with pytest.raises(ValueError):
-        concat_success_simulated(b, 4, (0, 0, 0, 0))
-    with pytest.raises(ValueError):
         concat_success_simulated(b, 0, ())
     with pytest.raises(ValueError):
         concat_success_simulated(b, 2, (0,))
+    # no depth cap: one bincount per tree level
+    b = mix([(0.5, named_box("box45")), (0.3, named_box("deterministic-zero",
+                                                        parties=3)),
+             (0.2, named_box("white", parties=3))])
+    e_one, e_two = biases(b)
+    assert (e_one, e_two) == pytest.approx((0.8, 0.5), abs=1e-12)
+    for depth in range(4, 9):
+        z = tuple(int(v) for v in f"{0b10110101 >> (8 - depth):0{depth}b}")
+        want = concat_success_closed(e_one, e_two, depth, sum(z))
+        assert abs(concat_success_simulated(b, depth, z) - want) <= 1e-12
     # no party cap: a tree level touches 4 n^3 cells, n = 2^(N-1)
     for parties in (5, 6):
         b = mix([(0.5, named_box("box45", parties=parties)),

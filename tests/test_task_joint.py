@@ -1,4 +1,5 @@
-"""The compact task joint against the dense run joint it marginalizes."""
+"""The per-choice task joints against the dense run joint and against a
+direct enumeration of the runs."""
 
 import itertools
 
@@ -7,23 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ns_box
+from conftest import random_local_mixture, random_ns_box
 from icbox import criteria
-from icbox.behaviors import named_box
+from icbox.behaviors import Behavior, named_box, validate
 from icbox.entropy import Channel, JointDistribution, marginal
 from icbox.protocol import (ProtocolConfig, single_copy_joint,
-                            success_profile, task_joint, task_joint_names)
+                            success_profile, task_joint_names, task_joints)
 
 seeds = st.integers(0, 2**32 - 1)
 epsilons = st.floats(0.0, 0.5)
 
 
-def assert_matches_oracle(b, cfg=None, noisy_senders=None):
-    compact = task_joint(b, cfg, noisy_senders=noisy_senders)
+def assert_conditioned_oracle(b, cfg=None, noisy_senders=None):
+    """Joint i is the dense run joint conditioned on J = i-1: its marginal
+    with J, at J = i-1, times 2 for the uniform choice."""
+    joints = task_joints(b, cfg, noisy_senders=noisy_senders)
     dense = single_copy_joint(b, cfg, noisy_senders=noisy_senders)
-    oracle = marginal(dense, compact.names)
-    assert compact.probs.shape == (2,) * len(compact.names)
-    assert np.abs(compact.probs - oracle.probs).max() <= 1e-12
+    for i, joint in enumerate(joints, start=1):
+        assert joint.names[-1] == f"G{i}"
+        oracle = marginal(dense, joint.names + ("J",)).probs[..., i - 1] * 2
+        assert joint.probs.shape == (2,) * len(joint.names)
+        assert np.abs(joint.probs - oracle).max() <= 1e-12
 
 
 def noisy_choices(parties):
@@ -37,7 +42,7 @@ def noisy_choices(parties):
 @given(seed=seeds)
 def test_matches_oracle_without_channel(parties, seed):
     b = random_ns_box(np.random.default_rng(seed), parties)
-    assert_matches_oracle(b)
+    assert_conditioned_oracle(b)
 
 
 @pytest.mark.parametrize("parties,noisy", [
@@ -47,7 +52,7 @@ def test_matches_oracle_without_channel(parties, seed):
 def test_matches_oracle_with_channel(parties, noisy, seed, eps):
     b = random_ns_box(np.random.default_rng(seed), parties)
     cfg = ProtocolConfig(parties=parties, channel=Channel(eps))
-    assert_matches_oracle(b, cfg, noisy)
+    assert_conditioned_oracle(b, cfg, noisy)
 
 
 @settings(max_examples=25, deadline=None)
@@ -58,27 +63,76 @@ def test_matches_oracle_with_input_distribution(seed, eps, channel):
     dist = JointDistribution(("X2^1", "X1^1"), weights)  # axes reordered
     cfg = ProtocolConfig(parties=2, input_distribution=dist,
                          channel=Channel(eps) if channel else None)
-    assert_matches_oracle(random_ns_box(rng, 2), cfg)
+    assert_conditioned_oracle(random_ns_box(rng, 2), cfg)
 
 
 def test_names_and_sizes():
-    assert task_joint_names(3, (2,)) == [
-        "X1^1", "X2^1", "X1^2", "X2^2", "M1", "M2", "M2p", "G1", "G2"]
-    for parties, atoms in ((3, 256), (4, 2048), (6, 131072)):
-        joint = task_joint(named_box("white", parties=parties))
-        assert joint.probs.size == atoms
+    assert task_joint_names(3, 2, (2,)) == [
+        "X1^1", "X2^1", "X1^2", "X2^2", "M1", "M2", "M2p", "G2"]
+    for parties, atoms in ((3, 128), (4, 1024), (6, 65536)):
+        joints = task_joints(named_box("white", parties=parties))
+        assert [j.probs.size for j in joints] == [atoms, atoms]
     cfg = ProtocolConfig(parties=3, channel=Channel(0.1))
-    assert task_joint(named_box("box45"), cfg).probs.size == 1024
+    assert task_joints(named_box("box45"), cfg)[0].probs.size == 512
 
 
 def test_rejects_what_the_oracle_rejects():
     with pytest.raises(ValueError):
-        task_joint(named_box("pr"), noisy_senders=(1,))
+        task_joints(named_box("pr"), noisy_senders=(1,))
     cfg = ProtocolConfig(parties=3, channel=Channel(0.1))
     with pytest.raises(ValueError):
-        task_joint(named_box("box45"), cfg, noisy_senders=(3,))
+        task_joints(named_box("box45"), cfg, noisy_senders=(3,))
     with pytest.raises(ValueError):
-        task_joint(named_box("box45"), ProtocolConfig(parties=2))
+        task_joints(named_box("box45"), ProtocolConfig(parties=2))
+
+
+def enumerated_joint(b, i, eps, noisy):
+    """Joint i summed run by run: inputs X, box outcomes (a, c) at
+    x_N = i-1 and channel flips f, each with weight w_X p(a, c | x, i-1)
+    times the flip weights."""
+    ns = b.parties - 1
+    probs = np.zeros((2,) * (3 * ns + 1 + len(noisy)))
+    for xbits in itertools.product((0, 1), repeat=2 * ns):
+        first = np.array(xbits[0::2])
+        xs = np.array(xbits[1::2]) ^ first
+        for a in itertools.product((0, 1), repeat=ns):
+            msgs = first ^ a
+            for c, flips in itertools.product(
+                    (0, 1), itertools.product((0, 1), repeat=len(noisy))):
+                w = b.prob((*xs, i - 1), (*a, c)) / 4 ** ns
+                received = msgs.copy()
+                for k, f in zip(noisy, flips):
+                    w *= eps if f else 1.0 - eps
+                    received[k - 1] ^= f
+                g = c ^ int(received.sum() & 1)
+                noisy_msgs = [received[k - 1] for k in noisy]
+                probs[(*xbits, *msgs, *noisy_msgs, g)] += w
+    return probs
+
+
+def signaling_boxes():
+    """Sender outputs x_N (fully signaling), and a random table."""
+    table = np.zeros((4, 4))
+    for x in range(4):
+        table[x, 2 * (x & 1)] = table[x, 2 * (x & 1) + 1] = 0.5
+    rng = np.random.default_rng(7)
+    rand = rng.random((8, 8))
+    return [Behavior(2, table), Behavior(3, rand / rand.sum(axis=1,
+                                                             keepdims=True))]
+
+
+@pytest.mark.parametrize("box", signaling_boxes(), ids=["x_N-output", "random"])
+def test_signaling_box_joints_are_exact_runs(box):
+    assert not validate(box).ok
+    cfg = ProtocolConfig(parties=box.parties, channel=Channel(0.2))
+    for noisy in ((), (1,)):
+        joints = task_joints(box, cfg, noisy_senders=noisy)
+        for i, joint in enumerate(joints, start=1):
+            assert abs(joint.probs.sum() - 1.0) <= 1e-12
+            want = enumerated_joint(box, i, 0.2, noisy)
+            assert np.abs(joint.probs - want).max() <= 1e-15
+    for cid in ("ic-multi", "ic-noisy"):
+        assert np.isfinite(criteria.evaluate(cid, box, epsilon=0.2).lhs)
 
 
 BUILTINS = {"pr": named_box("pr"),
@@ -102,6 +156,10 @@ def _assert_close(got, want):
         assert got.keys() == want.keys()
         for key in want:
             _assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w)
     elif isinstance(want, float):
         assert abs(got - want) <= 1e-12
     else:
@@ -112,8 +170,9 @@ def _assert_close(got, want):
 def test_reports_unchanged_against_dense_path(name, monkeypatch):
     b = BUILTINS[name]
     compact = _reports(b)
-    # the dense run joint carries every variable the evaluators read
-    monkeypatch.setattr(criteria, "task_joint", single_copy_joint)
+    # the dense run joint carries both guesses, so it stands in for each
+    monkeypatch.setattr(criteria, "task_joints",
+                        lambda *a, **kw: (single_copy_joint(*a, **kw),) * 2)
     _assert_close(compact, _reports(b))
 
 
@@ -129,3 +188,12 @@ def test_five_and_six_parties(parties):
         assert not rep.violated
     prof = success_profile(named_box("box45", parties=parties))
     assert prof.probabilities == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("parties", [5, 6])
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds, eps=epsilons)
+def test_local_mixtures_hold_at_five_and_six_parties(parties, seed, eps):
+    b = random_local_mixture(np.random.default_rng(seed), parties)
+    for cid in ("ic-multi", "ic-noisy"):
+        assert not criteria.evaluate(cid, b, epsilon=eps).violated
