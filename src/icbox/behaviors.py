@@ -91,7 +91,8 @@ class Behavior:
         object.__setattr__(self, "table", t)
 
     def prob(self, x: Sequence[int], a: Sequence[int]) -> float:
-        return float(self.table[tuple_to_index(x), tuple_to_index(a)])
+        n = self.parties
+        return float(self.table[_bitmask(x, n), _bitmask(a, n)])
 
     def entries(self) -> Iterable[tuple[Bits, Bits, float]]:
         n = self.parties
@@ -259,10 +260,11 @@ def local_deterministic(parties: int, funcs: Sequence[tuple[int, int]]) -> Behav
     n = parties
     if len(funcs) != n:
         raise ValueError("need one response pair per party")
+    pairs = [_bitmask(f, 2) for f in funcs]  # output on input v: bit 1 - v
     t = np.zeros((2**n, 2**n))
     for xi in range(2**n):
         x = index_to_tuple(xi, n)
-        a = tuple(funcs[k][x[k]] & 1 for k in range(n))
+        a = tuple((pairs[k] >> (1 - x[k])) & 1 for k in range(n))
         t[xi, tuple_to_index(a)] = 1.0
     return Behavior(n, t)
 
@@ -301,13 +303,19 @@ def correlators(b: Behavior) -> np.ndarray:
 
 def correlator(b: Behavior, x: Sequence[int]) -> float:
     """Full N-party correlator C_x at the input bits x."""
-    return float(correlators(b)[tuple_to_index(x)])
+    return float(correlators(b)[_bitmask(x, b.parties)])
 
 
 # ---------------------------------------------------------------------------
-# relabelings (used by the Uffink orbit and catalog classification)
+# relabelings (used by the orbit criteria and catalog classification)
 
-MAX_ORBIT_PARTIES = 4    # the 5-party orbit index would take about 1 GB
+def _bitmask(bits: Sequence[int], n: int) -> int:
+    """Joint index of n bits, the first the most significant.  Each must
+    equal 0 or 1 (numpy ints and bools do); nothing is masked."""
+    bits = tuple(bits)
+    if len(bits) != n or not all(v in (0, 1) for v in bits):
+        raise ValueError(f"need {n} bits, each 0 or 1, got {bits!r}")
+    return tuple_to_index([int(v) for v in bits])
 
 
 def _moved_bits(n: int, perm: Sequence[int]) -> np.ndarray:
@@ -317,6 +325,16 @@ def _moved_bits(n: int, perm: Sequence[int]) -> np.ndarray:
     moved = np.zeros(2 ** n, dtype=np.int64)
     for i, p in enumerate(perm):
         moved |= ((idx >> (n - 1 - i)) & 1) << (n - 1 - p)
+    return moved
+
+
+@functools.cache
+def _permuted_bits(n: int) -> np.ndarray:
+    """(N!, 2^N): row p is _moved_bits for the p-th permutation in
+    itertools.permutations order.  Shared between calls, so read-only."""
+    moved = np.stack([_moved_bits(n, perm)
+                      for perm in itertools.permutations(range(n))])
+    moved.setflags(write=False)
     return moved
 
 
@@ -343,12 +361,6 @@ def _relabeled(b: Behavior, src: np.ndarray) -> Behavior:
     return Behavior(b.parties, b.table.ravel()[src].reshape(b.table.shape))
 
 
-def _bitmask(bits: Sequence[int], n: int) -> int:
-    if len(bits) != n:
-        raise ValueError(f"need one bit per party ({n}), got {len(bits)}")
-    return tuple_to_index(bits)
-
-
 def permute_parties(b: Behavior, perm: Sequence[int]) -> Behavior:
     """Behavior whose party i is b's party perm[i] (perm is 0-based)."""
     n = b.parties
@@ -372,12 +384,6 @@ def relabel_outputs(b: Behavior, offsets: Sequence[int],
                                        alpha=_bitmask(alpha, n)))
 
 
-def _check_orbit_parties(n: int) -> None:
-    if not 2 <= n <= MAX_ORBIT_PARTIES:
-        raise ValueError(f"relabeling orbits are supported for 2 to "
-                         f"{MAX_ORBIT_PARTIES} parties, got {n}")
-
-
 def relabeling_index_maps(parties: int) -> np.ndarray:
     """Flat-index maps for the full relabeling group, shape (G, 4^N).
 
@@ -386,10 +392,12 @@ def relabeling_index_maps(parties: int) -> np.ndarray:
     party permutations, input flips and per-party output maps
     a -> a ⊕ β ⊕ αx, in the order (permutation, flip, β, α), the last
     fastest.  For N=3 that is 6*8*64 = 3072 group elements.  The test
-    oracle of correlator_orbit_index (201 MB at N=4).
+    oracle of orbit_forms; 2 to 4 parties (201 MB at N=4).
     """
     n = parties
-    _check_orbit_parties(n)
+    if not 2 <= n <= 4:
+        raise ValueError(f"relabeling index maps are supported for 2 to 4 "
+                         f"parties, got {n}")
     masks = np.arange(2 ** n)
     flip, beta, alpha = (m[..., None, None] for m in np.ix_(masks, masks, masks))
     return np.concatenate([
@@ -397,35 +405,25 @@ def relabeling_index_maps(parties: int) -> np.ndarray:
         for perm in itertools.permutations(range(n))])
 
 
-@functools.cache
-def correlator_orbit_index(parties: int) -> np.ndarray:
-    """The relabeling orbit acting on correlators, shape (G, 2^N).
+def orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
+    """F_j = sum_x weights[x, j] C'(x) for the correlators C' of every
+    relabeled variant of b with β = 0, shape (N!·2^N, J, 2^N) over
+    (permutation, flip), j, α.  The β variants are (-1)^|β| times these.
 
-    Row g is the signed index of variant g's correlators into
-    concat(C, -C): the outcome map a -> a ⊕ β ⊕ (α & x) permutes the
-    outcomes and flips the parity of a by |β| ⊕ |α & x|, so
-    C'(x) = (-1)^(|β| ⊕ |α & x|) C(moved(x ⊕ flip)).  Rows follow
-    relabeling_index_maps: (permutation, flip, β, α), α fastest.
-    12 MiB at N=4.  Shared between calls, so read-only.
+    C'(x) = (-1)^(|β| ⊕ |α & x|) C(moved(x ⊕ flip)), so F_j is the
+    Walsh-Hadamard transform of weights[:, j] ⊙ D at α, with
+    D(x) = C(moved(x ⊕ flip)).  moved is linear over XOR, so D is one
+    gather, and one product with weights ⊗ H, H[x, α] = (-1)^|α & x|,
+    transforms every row.
     """
-    n = parties
-    _check_orbit_parties(n)
+    n = b.parties
     size = 2 ** n
+    moved = _permuted_bits(n)
+    d = correlators(b)[moved[:, :, None] ^ moved[:, None, :]]
     x = np.arange(size)
-    flip, beta, alpha = (m[..., None] for m in np.ix_(x, x, x))
-    negate = (PARITY[beta] ^ PARITY[alpha & x]) * size
-    index = np.concatenate([
-        (_moved_bits(n, perm)[x ^ flip] + negate).reshape(-1, size)
-        for perm in itertools.permutations(range(n))])
-    index.setflags(write=False)
-    return index
-
-
-def correlator_orbit(b: Behavior) -> np.ndarray:
-    """Full-party correlators of every relabeled variant of b, shape
-    (G, 2^N), rows in the order of relabeling_index_maps."""
-    c = correlators(b)
-    return np.concatenate((c, -c))[correlator_orbit_index(b.parties)]
+    wh = weights[:, :, None] * _SIGNS[x[:, None] & x][:, None, :]
+    forms = d.reshape(-1, size) @ wh.reshape(size, -1)
+    return forms.reshape(-1, weights.shape[1], size)
 
 
 # ---------------------------------------------------------------------------

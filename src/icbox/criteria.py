@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .behaviors import Behavior, correlator_orbit, correlators
+from .behaviors import Behavior, orbit_forms
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
 from .protocol import (ProtocolConfig, bias_weights, biases, guess_name,
@@ -214,13 +214,27 @@ def eval_success_bound(b: Behavior, depth: int) -> CriterionReport:
     })
 
 
-def _uffink3_values(corr: np.ndarray) -> np.ndarray:
-    """The 3-party quadratic form of each correlator vector (last axis)."""
-    first = (corr[..., 0b001] + corr[..., 0b010] + corr[..., 0b100]
-             - corr[..., 0b111])
-    second = (corr[..., 0b110] + corr[..., 0b101] + corr[..., 0b011]
-              - corr[..., 0b000])
-    return first ** 2 + second ** 2
+# the brackets of uffink-3 as weights on C_000 .. C_111:
+# C_001 + C_010 + C_100 - C_111 and C_110 + C_101 + C_011 - C_000
+_UFFINK3_WEIGHTS = np.array([[0, 1, 1, 0, 1, 0, 0, -1],
+                             [-1, 0, 0, 1, 0, 1, 1, 0]], dtype=float).T
+_UFFINK3_WEIGHTS.setflags(write=False)
+
+
+def _orbit_max(b: Behavior, weights: np.ndarray
+               ) -> tuple[float, int, np.ndarray, float]:
+    """(maximum, variant, F at the variant, value of the identity variant)
+    of sum_j F_j^2 over the relabeling orbit (behaviors.orbit_forms).
+    variant is the first maximizing row of relabeling_index_maps, order
+    (permutation, flip, β, α): rows that differ in β tie exactly, and
+    β = 0 comes first."""
+    size = 2 ** b.parties
+    forms = orbit_forms(b, weights)
+    values = np.einsum("rja,rja->ra", forms, forms).ravel()
+    best = int(values.argmax())
+    row, alpha = divmod(best, size)
+    return (float(values[best]), row * size * size + alpha,
+            forms[row, :, alpha], float(values[0]))
 
 
 def eval_uffink(b: Behavior) -> CriterionReport:
@@ -230,18 +244,17 @@ def eval_uffink(b: Behavior) -> CriterionReport:
     Three parties: (C_001 + C_010 + C_100 - C_111)^2 +
     (C_110 + C_101 + C_011 - C_000)^2 vs 16, maximized over the full
     relabeling orbit (party permutations, input flips, input-conditioned
-    output flips; 3072 variants).
+    output flips; 3072 variants).  canonical is the identity variant's
+    value.
     """
     if b.parties == 2:
         return replace(eval_multicopy(b), criterion_id="uffink-2")
     if b.parties == 3:
-        values = _uffink3_values(correlator_orbit(b))
-        canonical = float(_uffink3_values(correlators(b)))
-        best = int(values.argmax())
-        return _report("uffink-3", float(values[best]), 16.0, {
+        value, variant, _, canonical = _orbit_max(b, _UFFINK3_WEIGHTS)
+        return _report("uffink-3", value, 16.0, {
             "canonical": canonical,
-            "orbit_size": int(values.shape[0]),
-            "argmax_variant": best,
+            "orbit_size": 3072,
+            "argmax_variant": variant,
         })
     raise ValueError(f"quadratic correlator criterion supports 2 or 3 "
                      f"parties, got {b.parties}")
@@ -252,16 +265,14 @@ def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     party acts as receiver, via party permutations).  Used for catalog
     classification, where class representatives carry arbitrary labelings.
     E_I and E_II are those of the first variant, in the row order of
-    relabeling_index_maps, that attains the maximum.  Supports 2 to 4
-    parties."""
-    e_one, e_two = (correlator_orbit(b) @ bias_weights(b.parties)).T
-    values = e_one ** 2 + e_two ** 2
-    best = int(values.argmax())
-    return _report("ic-multicopy", float(values[best]), 1.0, {
+    relabeling_index_maps, that attains the maximum.  Any party count
+    from 2 to 6."""
+    value, _, (e_one, e_two), _ = _orbit_max(b, bias_weights(b.parties))
+    return _report("ic-multicopy", value, 1.0, {
         "orbit": True,
-        "orbit_size": int(values.shape[0]),
-        "E_I": float(e_one[best]),
-        "E_II": float(e_two[best]),
+        "orbit_size": math.factorial(b.parties) * 8 ** b.parties,
+        "E_I": float(e_one),
+        "E_II": float(e_two),
     })
 
 

@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .behaviors import (PARITY, Behavior, correlators, index_to_tuple,
-                        tuple_to_index)
+from .behaviors import (PARITY, Behavior, _bitmask, correlators,
+                        index_to_tuple, tuple_to_index)
 from .entropy import Channel, JointDistribution, marginal
 
 MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
@@ -45,19 +45,6 @@ CHOICE = "J"
 def x_bit_name(k: int, i: int) -> str:
     """Bit i of sender k (both 1-based)."""
     return f"X{i}^{k}"
-
-
-def sender_input_name(k: int) -> str:
-    return f"x{k}"
-
-
-def sender_output_name(k: int) -> str:
-    return f"a{k}"
-
-
-def receiver_output_name(i: int) -> str:
-    """Receiver outcome under box input x_N = i-1."""
-    return f"c{i}"
 
 
 def message_name(k: int) -> str:
@@ -208,9 +195,8 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
     senders = list(range(1, n_parties))
 
     names = (x_bit_names(n_parties)
-             + [sender_input_name(k) for k in senders]
-             + [sender_output_name(k) for k in senders]
-             + [receiver_output_name(1), receiver_output_name(2)]
+             + [f"x{k}" for k in senders] + [f"a{k}" for k in senders]
+             + ["c1", "c2"]  # receiver outcome under x_N = 0, 1
              + [message_name(k) for k in senders]
              + [noisy_message_name(k) for k in noisy]
              + [CHOICE, guess_name(1), guess_name(2)])
@@ -353,9 +339,7 @@ def concat_success_simulated(b: Behavior, depth: int, z: Sequence[int]) -> float
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    zbits = tuple(int(v) & 1 for v in z)
-    if len(zbits) != depth:
-        raise ValueError(f"z must have {depth} bits, got {len(zbits)}")
+    zbits = index_to_tuple(_bitmask(z, depth), depth)
 
     n_msgs = 2 ** (b.parties - 1)
     full = b.table.reshape(n_msgs, 2, n_msgs, 2)             # [xs, v, a, c]

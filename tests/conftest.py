@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from icbox import behaviors as bh
 from icbox.behaviors import (Behavior, all_local_deterministic, bit_tuples,
                              local_deterministic, mix, named_box)
 
@@ -96,3 +99,23 @@ def random_ns_box(rng: np.random.Generator, parties: int) -> Behavior:
     w = float(rng.uniform(0.0, 1.0))
     return random_local_mixture(rng, parties, extremal=extremal,
                                 extremal_weight=w)
+
+
+def oracle_orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
+    """sum_x weights[x, j] C'(x) of every relabeled variant of b, computed
+    from its relabeled table, shape (N! 8^N, J), rows in the order
+    (permutation, flip, beta, alpha) of relabeling_index_maps.  Up to 3
+    parties the maps are the whole group; at 4 parties one permutation's
+    maps at a time come from _source_index."""
+    n = b.parties
+    masks = np.arange(2 ** n)
+    flip, beta, alpha = (m[..., None, None] for m in np.ix_(masks, masks, masks))
+    if n <= 3:
+        chunks = [bh.relabeling_index_maps(n)]
+    else:
+        chunks = (bh._source_index(n, perm, flip, beta, alpha).reshape(-1, 4 ** n)
+                  for perm in itertools.permutations(range(n)))
+    signs = 1.0 - 2.0 * bh.PARITY[:2 ** n]
+    return np.concatenate([
+        (b.table.ravel()[maps].reshape(-1, 2 ** n, 2 ** n) @ signs) @ weights
+        for maps in chunks])

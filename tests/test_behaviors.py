@@ -1,14 +1,18 @@
 import copy
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_svetlichny, random_local_mixture, random_ns_box
+from conftest import (make_svetlichny, oracle_orbit_forms,
+                      random_local_mixture, random_ns_box)
 from icbox import behaviors as bh
+from icbox.criteria import _UFFINK3_WEIGHTS
+from icbox.protocol import bias_weights
 
 
 def test_tuple_index_roundtrip():
@@ -220,41 +224,35 @@ def test_relabeling_index_map_rows(n):
         assert maps[g].tolist() == want
 
 
-def _table_correlators(flat: np.ndarray, n: int) -> np.ndarray:
-    return flat.reshape(-1, 2 ** n, 2 ** n) @ (1.0 - 2.0 * bh.PARITY[:2 ** n])
+def _expand_beta(forms: np.ndarray, n: int) -> np.ndarray:
+    """orbit_forms rows (permutation, flip), j, alpha -> every orbit row
+    (permutation, flip, beta, alpha) by j, the beta rows negated by |beta|."""
+    signs = 1.0 - 2.0 * bh.PARITY[:2 ** n]
+    full = forms.transpose(0, 2, 1)[:, None] * signs[None, :, None, None]
+    return full.reshape(-1, forms.shape[1])
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_correlator_orbit_matches_relabeled_tables(n):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_forms_match_relabeled_tables(n):
     b = random_ns_box(np.random.default_rng(40 + n), n)
-    want = _table_correlators(b.table.ravel()[bh.relabeling_index_maps(n)], n)
-    got = bh.correlator_orbit(b)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-15
-
-
-def test_correlator_orbit_four_parties_sampled_rows():
-    n = 4
-    b = random_ns_box(np.random.default_rng(44), n)
-    orbit = bh.correlator_orbit(b)
-    assert orbit.shape == (24 * 16 ** 3, 16)
-    perms = list(itertools.permutations(range(n)))
-    for g in np.random.default_rng(4).choice(orbit.shape[0], 200,
-                                             replace=False):
-        rest, alpha = divmod(int(g), 16)
-        rest, beta = divmod(rest, 16)
-        p, flip = divmod(rest, 16)
-        src = bh._source_index(n, perms[p], flip, beta, alpha)
-        want = _table_correlators(b.table.ravel()[src], n)[0]
-        assert np.abs(orbit[g] - want).max() <= 1e-15
+    weights = [bias_weights(n)] + ([_UFFINK3_WEIGHTS] if n == 3 else [])
+    for w in weights:
+        want = oracle_orbit_forms(b, w)
+        got = _expand_beta(bh.orbit_forms(b, w), n)
+        assert got.shape == want.shape == (math.factorial(n) * 8 ** n, 2)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-15 * scale
+        values = (want ** 2).sum(axis=1)
+        assert np.abs((got ** 2).sum(axis=1) - values).max() <= (
+            1e-15 * max(1.0, float(values.max())))
 
 
 def test_orbit_index_size_and_party_limit():
-    assert bh.correlator_orbit_index(4).nbytes <= 16 * 2 ** 20
-    assert not bh.correlator_orbit_index(3).flags.writeable
+    # the orbit's only cache is the (N!, 2^N) table of permuted bits
+    assert bh._permuted_bits(6).nbytes <= 360 * 2 ** 10
+    assert bh._permuted_bits(3).shape == (6, 8)
+    assert not bh._permuted_bits(3).flags.writeable
     for n in (1, 5, 6):
-        with pytest.raises(ValueError, match="2 to 4 parties"):
-            bh.correlator_orbit_index(n)
         with pytest.raises(ValueError, match="2 to 4 parties"):
             bh.relabeling_index_maps(n)
 
@@ -265,6 +263,35 @@ def test_relabeling_masks_need_one_bit_per_party():
         bh.flip_inputs(b, (1, 0))
     with pytest.raises(ValueError):
         bh.relabel_outputs(b, (1, 0, 1, 0))
+
+
+_ISO = bh.named_box("isotropic", bias=0.8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bh.correlator(_ISO, (1,)),
+    lambda: bh.correlator(_ISO, (2, 0, 1)),
+    lambda: bh.flip_inputs(_ISO, (2, 0, 0)),
+    lambda: bh.relabel_outputs(_ISO, (0, 0, 0), (0, 3, 0)),
+    lambda: bh.local_deterministic(2, [(2, 3), (0, 1)]),
+    lambda: bh.local_deterministic(2, [(0, 1, 1), (0, 1)]),
+    lambda: _ISO.prob((0, 0, 2), (0, 0, 0)),
+    lambda: _ISO.prob((0, 0, 0), (0, 0.5, 0)),
+], ids=["correlator-short", "correlator-2", "flip-2", "outputs-3",
+        "deterministic-2-3", "deterministic-triple", "prob-x-2",
+        "prob-a-half"])
+def test_bits_outside_0_1_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_numpy_ints_and_bools_are_bits():
+    b = bh.named_box("box45", parties=3)
+    assert bh.correlator(b, np.array([1, 1, 1])) == bh.correlator(b, (1, 1, 1))
+    assert b.prob((np.int8(1), False, True), (0, 0, 0)) == b.prob(
+        (1, 0, 1), (0, 0, 0))
+    assert bh.behaviors_close(bh.flip_inputs(b, (True, False, np.int64(1))),
+                              bh.flip_inputs(b, (1, 0, 1)))
 
 
 def test_json_roundtrip(tmp_path):

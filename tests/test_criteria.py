@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (local_deterministic_boxes, make_ghz_style,
-                      make_svetlichny, random_local_mixture, random_ns_box)
+                      make_svetlichny, oracle_orbit_forms,
+                      random_local_mixture, random_ns_box)
 from icbox.behaviors import (flip_inputs, mix, named_box, permute_parties,
                              relabel_outputs)
-from icbox.criteria import (CRITERION_IDS, VIOLATION_TOL, eval_bipartite_ic,
+from icbox.criteria import (_UFFINK3_WEIGHTS, CRITERION_IDS, VIOLATION_TOL,
+                            eval_bipartite_ic,
                             eval_multicopy, eval_multipartite_ic,
                             eval_noisy_ic, eval_stronger_bipartite,
                             eval_success_bound, eval_uffink, evaluate,
                             multicopy_orbit_max)
 from icbox.entropy import JointDistribution, binary_entropy
-from icbox.protocol import single_copy_joint
+from icbox.protocol import bias_weights, single_copy_joint
 
 
 def test_report_shape():
@@ -158,6 +160,48 @@ def test_multicopy_orbit_max_frozen_values():
     assert rep.details["orbit_size"] == 24 * 16 ** 3
 
 
+@pytest.mark.parametrize("parties", [5, 6])
+def test_multicopy_orbit_max_five_and_six_parties(parties):
+    size = math.factorial(parties) * 8 ** parties
+    rep = multicopy_orbit_max(named_box("box45", parties=parties))
+    assert rep.lhs == pytest.approx(2.0, abs=1e-12)
+    assert rep.details["orbit_size"] == size
+    rep = multicopy_orbit_max(named_box("isotropic", parties=parties,
+                                        bias=0.6))
+    assert rep.lhs == pytest.approx(2 * 0.6 ** 2, abs=1e-12)
+    assert rep.details["orbit_size"] == size
+
+
+def _first_oracle_max(values: np.ndarray) -> int:
+    """First row within rounding of the oracle maximum (the oracle computes
+    exactly tied rows in different orders)."""
+    top = float(values.max())
+    return int(np.flatnonzero(values >= top - 1e-15 * max(1.0, top))[0])
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_orbit_max_reports_the_first_oracle_maximizer(parties):
+    # box45's orbit has exact ties, between variants and their negations
+    boxes = [random_ns_box(np.random.default_rng(60 + parties), parties),
+             named_box("box45", parties=parties)]
+    for b in boxes:
+        forms = oracle_orbit_forms(b, bias_weights(parties))
+        values = (forms ** 2).sum(axis=1)
+        first = _first_oracle_max(values)
+        rep = multicopy_orbit_max(b)
+        assert abs(rep.lhs - values.max()) <= 1e-15 * max(1.0, values.max())
+        assert abs(rep.details["E_I"] - forms[first, 0]) <= 1e-15
+        assert abs(rep.details["E_II"] - forms[first, 1]) <= 1e-15
+        if parties == 3:
+            forms = oracle_orbit_forms(b, _UFFINK3_WEIGHTS)
+            values = (forms ** 2).sum(axis=1)
+            rep = eval_uffink(b)
+            # exact ties of the uffink-3 orbit may resolve either way
+            assert values[rep.details["argmax_variant"]] >= (
+                values.max() * (1.0 - 1e-15))
+            assert abs(rep.details["canonical"] - values[0]) <= 1e-14
+
+
 def test_orbit_never_below_canonical():
     rng = np.random.default_rng(22)
     for _ in range(5):
@@ -165,7 +209,7 @@ def test_orbit_never_below_canonical():
         assert multicopy_orbit_max(b).lhs >= eval_multicopy(b).lhs - 1e-12
 
 
-@pytest.mark.parametrize("parties", [2, 3])
+@pytest.mark.parametrize("parties", [2, 3, 4])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_orbit_maxima_invariant_under_relabeling(parties, seed):

@@ -201,6 +201,14 @@ def test_z_permutation_symmetry_isotropic():
     assert abs(a - c) <= 1e-12
 
 
+@pytest.mark.parametrize("z", [(2, 3), (True, 0.7), (0, 7)],
+                         ids=["2-3", "true-0.7", "0-7"])
+def test_simulated_path_bits_are_checked(z):
+    b = mix([(0.8, named_box("box45")), (0.2, named_box("white"))])
+    with pytest.raises(ValueError):
+        concat_success_simulated(b, 2, z)
+
+
 def test_simulation_caps():
     b = named_box("isotropic", bias=0.5)
     with pytest.raises(ValueError):

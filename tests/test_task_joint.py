@@ -195,5 +195,9 @@ def test_five_and_six_parties(parties):
 @given(seed=seeds, eps=epsilons)
 def test_local_mixtures_hold_at_five_and_six_parties(parties, seed, eps):
     b = random_local_mixture(np.random.default_rng(seed), parties)
-    for cid in ("ic-multi", "ic-noisy"):
+    for cid in ("ic-multi", "ic-noisy", "ic-multicopy"):
         assert not criteria.evaluate(cid, b, epsilon=eps).violated
+    assert not criteria.multicopy_orbit_max(b).violated
+    for depth in (1, 2, 3):
+        assert not criteria.evaluate("ic-success-bound", b,
+                                     depth=depth).violated
