@@ -37,9 +37,13 @@ class StructureError(ValueError):
 
 
 def tuple_to_index(bits: Sequence[int]) -> int:
+    """Joint index of the bits, the first the most significant.  Each must
+    equal 0 or 1 (numpy ints and bools do); nothing is masked."""
     idx = 0
     for b in bits:
-        idx = (idx << 1) | (b & 1)
+        if b not in (0, 1):
+            raise ValueError(f"bits must each be 0 or 1, got {tuple(bits)!r}")
+        idx = (idx << 1) | int(b)
     return idx
 
 
@@ -99,10 +103,6 @@ class Behavior:
         for xi in range(2**n):
             for ai in range(2**n):
                 yield index_to_tuple(xi, n), index_to_tuple(ai, n), float(self.table[xi, ai])
-
-
-def behaviors_close(b1: Behavior, b2: Behavior, atol: float = 1e-12) -> bool:
-    return b1.parties == b2.parties and bool(np.allclose(b1.table, b2.table, atol=atol, rtol=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +310,11 @@ def correlator(b: Behavior, x: Sequence[int]) -> float:
 # relabelings (used by the orbit criteria and catalog classification)
 
 def _bitmask(bits: Sequence[int], n: int) -> int:
-    """Joint index of n bits, the first the most significant.  Each must
-    equal 0 or 1 (numpy ints and bools do); nothing is masked."""
+    """tuple_to_index of exactly n bits."""
     bits = tuple(bits)
-    if len(bits) != n or not all(v in (0, 1) for v in bits):
+    if len(bits) != n:
         raise ValueError(f"need {n} bits, each 0 or 1, got {bits!r}")
-    return tuple_to_index([int(v) for v in bits])
+    return tuple_to_index(bits)
 
 
 def _moved_bits(n: int, perm: Sequence[int]) -> np.ndarray:

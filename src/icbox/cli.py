@@ -173,15 +173,13 @@ def _output(path: str | None) -> Iterator[TextIO]:
 def _slice_from_arg(arg: str, grid_step: float,
                     criteria_ids: Sequence[str]) -> scan.SliceSpec:
     if arg == "default":
-        return scan.default_slice(criteria=criteria_ids, gamma_step=grid_step,
-                                  epsilon_step=grid_step)
+        return scan.default_slice(criteria=criteria_ids, grid_step=grid_step)
     uris = arg.split(",")
     if len(uris) != 3:
         raise ValueError("--slice must be 'default' or three comma-separated "
                          "box URIs")
     gens = tuple(parse_box_uri(u) for u in uris)
-    return scan.SliceSpec(generators=gens, gamma_step=grid_step,
-                          epsilon_step=grid_step,
+    return scan.SliceSpec(generators=gens, grid_step=grid_step,
                           criteria=tuple(criteria_ids))
 
 
@@ -357,8 +355,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         setattr(args, dest, config.get(dest, _DEFAULTS.get(dest)))
     try:
         return handler(args)
-    except (StructureError, ValueError, NotImplementedError, KeyError,
-            OSError, ArithmeticError) as exc:
+    except (StructureError, ValueError, KeyError, OSError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

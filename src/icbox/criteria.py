@@ -4,11 +4,12 @@ Entropic criteria (ic-bipartite, ic-bipartite-strong, ic-multi, ic-noisy)
 read mutual informations off the exact per-choice task joints
 (protocol.task_joints): a term that holds the guess G_i reads joints[i-1],
 the run in which the receiver picked bit i, and a term without a guess
-reads joints[0].  The quadratic criteria (ic-multicopy, uffink-2, uffink-3)
-and the concatenated success bound (ic-success-bound) are closed forms in
-the box biases and correlators.  Every evaluator returns a CriterionReport
-with lhs, rhs, margin = lhs - rhs and a violated flag at threshold
-VIOLATION_TOL.
+reads joints[0].  Input bits are independent and uniform, so the
+input-correlation term of ic-multi and ic-noisy is 0.  The quadratic
+criteria (ic-multicopy, uffink-2, uffink-3) and the concatenated success
+bound (ic-success-bound) are closed forms in the box biases and
+correlators.  Every evaluator returns a CriterionReport with lhs, rhs,
+margin = lhs - rhs and a violated flag at threshold VIOLATION_TOL.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import numpy as np
 from .behaviors import Behavior, orbit_forms
 from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
                       cond_mutual_information, mutual_information)
-from .protocol import (ProtocolConfig, bias_weights, biases, guess_name,
-                       message_name, noisy_message_name, task_joints,
-                       x_bit_name)
+from .protocol import (bias_weights, biases, guess_name, message_name,
+                       noisy_message_name, task_joints, x_bit_name)
 # not called here: the benchmark's tracer self-test reads this binding
 from .protocol import single_copy_joint  # noqa: F401
 
@@ -62,34 +62,15 @@ def _report(cid: str, lhs: float, rhs: float,
                            details or {})
 
 
-def _joint_bits(joint: JointDistribution, sender: int) -> list[int]:
-    """Bit indices i with X_i^sender present, in increasing i."""
-    out = []
-    i = 1
-    while x_bit_name(sender, i) in joint.names:
-        out.append(i)
-        i += 1
-    if not out:
-        raise KeyError(f"joint has no input bits for sender {sender}")
-    return out
-
-
-def _joint_senders(joint: JointDistribution) -> list[int]:
-    out = []
-    k = 1
-    while x_bit_name(k, 1) in joint.names:
-        out.append(k)
-        k += 1
-    return out
+_BITS = (1, 2)  # every sender holds two input bits
 
 
 def eval_bipartite_ic(joints: Sequence[JointDistribution]
                       ) -> CriterionReport:
     """Sum_i I(X_i : G_i) against the message entropy H(M); joints[i-1]
     carries G_i."""
-    bits = _joint_bits(joints[0], 1)
     terms = [mutual_information(joints[i - 1], x_bit_name(1, i),
-                                guess_name(i)) for i in bits]
+                                guess_name(i)) for i in _BITS]
     rhs = entropy(joints[0], message_name(1))
     return _report("ic-bipartite", sum(terms), rhs,
                    {"terms": terms})
@@ -99,85 +80,46 @@ def eval_stronger_bipartite(joints: Sequence[JointDistribution]
                             ) -> CriterionReport:
     """Message-conditioned strengthening of the bipartite criterion.
 
-    LHS = Sum_i I(X_i : G_i, M) + Sum_{i>=2} I(X_1 : X_i | G_i, M);
-    RHS = H(M) + Sum_{i>=2} H(X_i) - H(X_2,...,X_n), which reduces to H(M)
-    for independent input bits.  Only independent inputs are supported: the
-    RHS correction is exactly zero there, and that is the regime this
-    strengthening is stated for.  joints[i-1] carries G_i.
+    LHS = I(X_1 : G_1, M) + I(X_2 : G_2, M) + I(X_1 : X_2 | G_2, M);
+    RHS = H(M).  This is the form for independent, uniform input bits,
+    which every run of the task has.  joints[i-1] carries G_i.
     """
-    joint = joints[0]
-    bits = _joint_bits(joint, 1)
-    xs = [x_bit_name(1, i) for i in bits]
-    for i in range(1, len(xs)):
-        if mutual_information(joint, xs[0], xs[i]) > 1e-9:
-            raise NotImplementedError(
-                "stronger bipartite criterion supports independent input "
-                "bits only")
     m = message_name(1)
-    lhs = 0.0
-    for i in bits:
-        lhs += mutual_information(joints[i - 1], xs[i - 1],
-                                  (guess_name(i), m))
-    for i in bits[1:]:
-        lhs += cond_mutual_information(joints[i - 1], xs[0], xs[i - 1],
-                                       (guess_name(i), m))
-    rhs = entropy(joint, m)
-    if len(xs) > 1:
-        rhs += sum(entropy(joint, x) for x in xs[1:])
-        rhs -= entropy(joint, tuple(xs[1:]))
-    return _report("ic-bipartite-strong", lhs, rhs, {})
+    x_one, x_two = x_bit_name(1, 1), x_bit_name(1, 2)
+    lhs = (mutual_information(joints[0], x_one, (guess_name(1), m))
+           + mutual_information(joints[1], x_two, (guess_name(2), m))
+           + cond_mutual_information(joints[1], x_one, x_two,
+                                     (guess_name(2), m)))
+    return _report("ic-bipartite-strong", lhs, entropy(joints[0], m), {})
 
 
-def _multi_lhs_terms(joints: Sequence[JointDistribution],
-                     senders: list[int], bits: list[int],
-                     pick: list[int] | None = None
+def _multi_lhs_terms(joints: Sequence[JointDistribution], parties: int,
+                     pick: Sequence[int] | None = None
                      ) -> dict[tuple[int, int], float]:
-    """I(X_i^k : X_i^(others), G_i) for each requested sender k and bit i,
-    read off joints[i-1]."""
-    todo = senders if pick is None else pick
+    """I(X_i^k : X_i^(others), G_i) for each requested sender k (default:
+    all of them) and bit i, read off joints[i-1]."""
+    senders = range(1, parties)
     out = {}
-    for k in todo:
-        for i in bits:
+    for k in (senders if pick is None else pick):
+        for i in _BITS:
             others = tuple(x_bit_name(j, i) for j in senders if j != k)
             out[(k, i)] = mutual_information(
                 joints[i - 1], x_bit_name(k, i), others + (guess_name(i),))
     return out
 
 
-def _input_correlation_term(joint: JointDistribution, senders: list[int],
-                            bits: list[int], pick: list[int] | None = None
-                            ) -> float:
-    """Sum_k Sum_i I(X_{i+1}^k ... X_n^k : X_i^k); zero for independent bits."""
-    total = 0.0
-    for k in (senders if pick is None else pick):
-        for idx, i in enumerate(bits[:-1]):
-            later = tuple(x_bit_name(k, j) for j in bits[idx + 1:])
-            total += mutual_information(joint, x_bit_name(k, i), later)
-    return total
-
-
 def eval_multipartite_ic(joints: Sequence[JointDistribution],
-                         parties: int | None = None,
-                         bits_per_sender: int | None = None) -> CriterionReport:
-    """Sum over senders of bitwise guess informations against the joint
-    message entropy plus the input-correlation correction; joints[i-1]
-    carries G_i."""
-    joint = joints[0]
-    senders = _joint_senders(joint)
-    bits = _joint_bits(joint, 1)
-    if parties is not None and parties != len(senders) + 1:
-        raise ValueError(f"joint carries {len(senders)} senders, expected "
-                         f"{parties - 1}")
-    if bits_per_sender is not None and bits_per_sender != len(bits):
-        raise ValueError(f"joint carries {len(bits)} bits per sender, "
-                         f"expected {bits_per_sender}")
-    terms = _multi_lhs_terms(joints, senders, bits)
-    lhs = sum(terms.values())
-    msg_entropy = entropy(joint, tuple(message_name(k) for k in senders))
-    correction = _input_correlation_term(joint, senders, bits)
-    return _report("ic-multi", lhs, msg_entropy + correction, {
+                         parties: int) -> CriterionReport:
+    """Sum over the parties - 1 senders of bitwise guess informations
+    against the joint message entropy; joints[i-1] carries G_i.  With
+    independent input bits the input-correlation term of the criterion is
+    0, and the report carries it as such."""
+    terms = _multi_lhs_terms(joints, parties)
+    msg_entropy = entropy(joints[0], tuple(message_name(k)
+                                           for k in range(1, parties)))
+    return _report("ic-multi", sum(terms.values()), msg_entropy, {
         "message_entropy": msg_entropy,
-        "input_correlation": correction,
+        "input_correlation": 0.0,
         "terms": {f"k={k},i={i}": v for (k, i), v in sorted(terms.items())},
     })
 
@@ -276,9 +218,7 @@ def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     })
 
 
-def eval_noisy_ic(b: Behavior, epsilon: float,
-                  input_distribution: JointDistribution | None = None
-                  ) -> CriterionReport:
+def eval_noisy_ic(b: Behavior, epsilon: float) -> CriterionReport:
     """Per-sender noisy-channel criterion.
 
     Each sender's message crosses one use of a binary symmetric channel.
@@ -291,38 +231,27 @@ def eval_noisy_ic(b: Behavior, epsilon: float,
     """
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must be in [0, 0.5], got {epsilon}")
-    senders = list(range(1, b.parties))
     channel = Channel(epsilon)
     lhs = 0.0
     rhs = 0.0
-    correction = 0.0
     per_sender = {}
-    for k in senders:
-        cfg = ProtocolConfig(parties=b.parties, channel=channel,
-                             input_distribution=input_distribution)
-        joints = task_joints(b, cfg, noisy_senders=(k,))
-        joint = joints[0]
-        bits = _joint_bits(joint, k)
-        terms = _multi_lhs_terms(joints, senders, bits, pick=[k])
-        cap_k = mutual_information(joint, message_name(k),
+    for k in range(1, b.parties):
+        joints = task_joints(b, channel, noisy_senders=(k,))
+        terms = sum(_multi_lhs_terms(joints, b.parties, pick=(k,)).values())
+        cap_k = mutual_information(joints[0], message_name(k),
                                    noisy_message_name(k))
-        correction += _input_correlation_term(joint, senders, bits, pick=[k])
-        lhs += sum(terms.values())
+        lhs += terms
         rhs += cap_k
-        per_sender[f"k={k}"] = {"terms": sum(terms.values()),
-                                "channel_information": cap_k}
-    details: dict[str, Any] = {"epsilon": epsilon,
-                               "input_correlation": correction,
+        per_sender[f"k={k}"] = {"terms": terms, "channel_information": cap_k}
+    details: dict[str, Any] = {"epsilon": epsilon, "input_correlation": 0.0,
                                "per_sender": per_sender}
     if epsilon == 0.5:
         details["flag"] = "indeterminate-limit"
-    return _report("ic-noisy", lhs, rhs + correction, details)
+    return _report("ic-noisy", lhs, rhs, details)
 
 
 def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
-             epsilon: float | None = None,
-             input_distribution: JointDistribution | None = None
-             ) -> CriterionReport:
+             epsilon: float | None = None) -> CriterionReport:
     """Dispatch a criterion id against a behavior, building the task joints
     when the criterion needs them."""
     if criterion_id not in CRITERION_IDS:
@@ -332,10 +261,9 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
         if criterion_id != "ic-multi" and b.parties != 2:
             raise ValueError(f"{criterion_id} needs a 2-party behavior, "
                              f"got {b.parties} parties")
-        joints = task_joints(b, ProtocolConfig(
-            parties=b.parties, input_distribution=input_distribution))
+        joints = task_joints(b)
         if criterion_id == "ic-multi":
-            return eval_multipartite_ic(joints)
+            return eval_multipartite_ic(joints, b.parties)
         if criterion_id == "ic-bipartite":
             return eval_bipartite_ic(joints)
         return eval_stronger_bipartite(joints)
@@ -350,4 +278,4 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
         return eval_uffink(b)
     if epsilon is None:
         raise ValueError("ic-noisy needs a channel epsilon")
-    return eval_noisy_ic(b, epsilon, input_distribution)
+    return eval_noisy_ic(b, epsilon)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class JointDistribution:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown variable {name!r}; have {self.names}") from None
-
-    def pmf_items(self) -> Iterable[tuple[tuple[int, ...], float]]:
-        it = np.nditer(self.probs, flags=["multi_index"])
-        for v in it:
-            p = float(v)
-            if p != 0.0:
-                yield it.multi_index, p
 
 
 def _resolve(d: JointDistribution, names: Sequence[str] | str) -> tuple[str, ...]:
@@ -148,37 +141,7 @@ class Channel:
     """Binary symmetric channel flipping the bit with probability epsilon."""
 
     epsilon: float
-    kind: str = "bsc"
 
     def __post_init__(self) -> None:
-        if self.kind != "bsc":
-            raise ValueError(f"unsupported channel kind {self.kind!r}")
         if not 0.0 <= self.epsilon <= 0.5:
             raise ValueError(f"bsc epsilon must be in [0, 0.5], got {self.epsilon}")
-
-    def transition(self) -> np.ndarray:
-        e = self.epsilon
-        return np.array([[1.0 - e, e], [e, 1.0 - e]])
-
-
-def apply_channel(d: JointDistribution, var: str, ch: Channel,
-                  new_name: str) -> JointDistribution:
-    """Append `new_name`, the channel output for `var`, to the joint.
-
-    The noise is fresh randomness, so I(new : anything | var) = 0 by
-    construction.  `var` must be binary.
-    """
-    ax = d.axis(var)
-    if d.probs.shape[ax] != 2:
-        raise ValueError(f"{var!r} has cardinality {d.probs.shape[ax]}, need 2")
-    if new_name in d.names:
-        raise ValueError(f"name {new_name!r} already present")
-    moved = np.moveaxis(d.probs, ax, -1)
-    out = moved[..., :, None] * ch.transition()[(None,) * (moved.ndim - 1)]
-    out = np.moveaxis(out, -2, ax)  # original axis back in place, output last
-    return JointDistribution(d.names + (new_name,), np.ascontiguousarray(out))
-
-
-def capacity(ch: Channel) -> float:
-    """Capacity of the binary symmetric channel, 1 - h(epsilon) bits."""
-    return 1.0 - binary_entropy(ch.epsilon)

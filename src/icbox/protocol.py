@@ -1,11 +1,14 @@
 """The multipartite XOR communication task built on a shared box.
 
-Single copy: N-1 senders each hold two uniform bits X_1^k, X_2^k, input
+Single copy: N-1 senders each hold two bits X_1^k, X_2^k, input
 x_k = X_1^k ⊕ X_2^k into the shared box, and send M_k = X_1^k ⊕ a_k.  The
 receiver (party N) picks a choice J in {0, 1}, inputs x_N = J, and guesses
 bit position i = J+1 of every sender at once:
 
     G_i = (⊕_k M_k) ⊕ c_i.
+
+Every input bit is independent and uniform; that is part of the task, not
+an option.
 
 Concatenation: with 2^K bits per sender, messages are fed pairwise into a
 depth-K binary tree of identical boxes; the receiver measures one box per
@@ -18,7 +21,7 @@ choice, the run joint of the input bits, the messages (and their channel
 outputs) and the guess G_i picked by that choice, 2^(3(N-1)+1) atoms without
 a channel.  Given the input bits, (a, c, channel flips) and (M, M', G_i)
 determine each other, so every atom is one box weight p(a, c | x, i-1) times
-the input and flip weights: a fixed gather of the box table, exact for any
+4^-(N-1) and the flip weights: a fixed gather of the box table, exact for any
 table.  single_copy_joint builds the full run joint (box inputs and
 outcomes, choice J, and both guesses on one sample space) by direct
 enumeration; it is kept as the test oracle for task_joints.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .behaviors import (PARITY, Behavior, _bitmask, correlators,
                         index_to_tuple, tuple_to_index)
-from .entropy import Channel, JointDistribution, marginal
+from .entropy import Channel, JointDistribution
 
 MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
 
@@ -59,47 +62,22 @@ def guess_name(i: int) -> str:
     return f"G{i}"
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Task configuration for one behavior.
-
-    A single copy gives every sender 2 bits; longer bit strings are reached
-    through concatenation (concat_success_simulated).  input_distribution
-    defaults to independent uniform bits and, when given, must be a
-    JointDistribution over exactly the X_i^k names.
-    """
-
-    parties: int
-    channel: Channel | None = None
-    input_distribution: JointDistribution | None = None
-
-    def __post_init__(self) -> None:
-        if self.parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.parties}")
+def x_bit_names(parties: int) -> list[str]:
+    return [x_bit_name(k, i) for k in range(1, parties) for i in (1, 2)]
 
 
-def x_bit_names(parties: int, bits: int = 2) -> list[str]:
-    return [x_bit_name(k, i) for k in range(1, parties) for i in range(1, bits + 1)]
-
-
-def _resolve_noisy(b: Behavior, cfg: ProtocolConfig | None,
-                   noisy_senders: Sequence[int] | None
-                   ) -> tuple[ProtocolConfig, tuple[int, ...]]:
-    """The config (default: uniform inputs, no channel) and the sorted
-    senders whose messages cross the channel."""
-    if cfg is None:
-        cfg = ProtocolConfig(parties=b.parties)
-    if cfg.parties != b.parties:
-        raise ValueError(f"config is for {cfg.parties} parties, behavior has {b.parties}")
+def _resolve_noisy(b: Behavior, channel: Channel | None,
+                   noisy_senders: Sequence[int] | None) -> tuple[int, ...]:
+    """The sorted senders whose messages cross the channel."""
     senders = range(1, b.parties)
-    if cfg.channel is None:
+    if channel is None:
         if noisy_senders:
             raise ValueError("noisy_senders given without a channel")
-        return cfg, ()
+        return ()
     noisy = tuple(sorted(senders if noisy_senders is None else noisy_senders))
     if any(k not in senders for k in noisy):
         raise ValueError(f"noisy_senders must be senders 1..{b.parties - 1}")
-    return cfg, noisy
+    return noisy
 
 
 def task_joint_names(parties: int, i: int,
@@ -143,30 +121,30 @@ def _task_index(n_send: int, noisy: tuple[int, ...]
     return src, flip
 
 
-def task_joints(b: Behavior, cfg: ProtocolConfig | None = None, *,
+def task_joints(b: Behavior, channel: Channel | None = None, *,
                 noisy_senders: Sequence[int] | None = None
                 ) -> tuple[JointDistribution, JointDistribution]:
     """Exact run joints of the input bits, messages and guess, one per
     receiver choice; joints[i-1] carries G_i.
 
     Variables (task_joint_names): X_i^k, M_k, M_kp for the senders behind
-    the channel, G_i.  With a channel configured, noisy_senders selects
-    which messages pass through it (default: all of them); the guess is
-    decoded from M_kp for those senders and from M_k for the rest.
+    the channel, G_i.  With a channel, noisy_senders selects which
+    messages pass through it (default: all of them); the guess is decoded
+    from M_kp for those senders and from M_k for the rest.
 
     The weight of the run (X, a, c, f) under choice i is
-    w_X p(a, c | x, x_N = i-1) times the flip weights.  This reads the box
-    table and divides by nothing, so each joint is normalized for any
+    4^-(N-1) p(a, c | x, x_N = i-1) times the flip weights.  This reads the
+    box table and divides by nothing, so each joint is normalized for any
     normalized table; for a no-signaling box it equals single_copy_joint
     conditioned on J = i-1.
     """
-    cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
+    noisy = _resolve_noisy(b, channel, noisy_senders)
     n_send = b.parties - 1
     src, flip = _task_index(n_send, noisy)
     w = b.table.ravel()[src].reshape(2, 4 ** n_send, -1)
-    w *= _input_weights(cfg, b.parties).reshape(-1, 1)
+    w *= 1.0 / 4 ** n_send
     if noisy:
-        eps = cfg.channel.epsilon
+        eps = channel.epsilon
         flip_w = np.ones(1)
         for _ in noisy:
             flip_w = np.multiply.outer(flip_w, (1.0 - eps, eps)).ravel()
@@ -177,20 +155,20 @@ def task_joints(b: Behavior, cfg: ProtocolConfig | None = None, *,
         for i in (1, 2))
 
 
-def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
+def single_copy_joint(b: Behavior, channel: Channel | None = None, *,
                       noisy_senders: Sequence[int] | None = None) -> JointDistribution:
     """Exact joint of inputs, box data, messages, choice and guesses.
 
     Variables: X_i^k, x_k, a_k, c_1, c_2, M_k, (M_kp for senders behind the
-    channel), J, G_1, G_2.  With a channel configured, noisy_senders selects
-    which messages pass through it (default: all of them); the guesses are
+    channel), J, G_1, G_2.  With a channel, noisy_senders selects which
+    messages pass through it (default: all of them); the guesses are
     decoded from M_kp for those senders and from M_k for the rest.  Built by
     enumeration and capped at MAX_JOINT_VARS variables; it is the test
     oracle for task_joints, which the criteria use.  It draws c_1 and c_2
     from p(c | a, x, x_N) given the senders' p(a | x), which is well
     defined only for a no-signaling box.
     """
-    cfg, noisy = _resolve_noisy(b, cfg, noisy_senders)
+    noisy = _resolve_noisy(b, channel, noisy_senders)
     n_parties = b.parties
     senders = list(range(1, n_parties))
 
@@ -210,16 +188,13 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
     full = b.table.reshape(2 ** ns, 2, 2 ** ns, 2)
     send = full[:, 0].sum(axis=-1)  # p(a | x), x_N-independent once validated
 
-    w_inputs = _input_weights(cfg, n_parties)
-    eps = cfg.channel.epsilon if cfg.channel is not None else 0.0
+    w_x = 1.0 / 4 ** ns  # uniform input bits
+    eps = channel.epsilon if channel is not None else 0.0
     flip_w = (1.0 - eps, eps)
 
     probs = np.zeros((2,) * len(names))
     half = 0.5  # uniform receiver choice
     for xbits in itertools.product((0, 1), repeat=2 * ns):
-        w_x = w_inputs[xbits]
-        if w_x == 0.0:
-            continue
         first = xbits[0::2]
         second = xbits[1::2]
         xs_idx = tuple_to_index(tuple(f ^ s for f, s in zip(first, second)))
@@ -253,18 +228,6 @@ def single_copy_joint(b: Behavior, cfg: ProtocolConfig | None = None, *,
                     idx_j1 = (*idx[:-3], 1, g1, g2)
                     probs[idx_j1] += w_f
     return JointDistribution(tuple(names), probs)
-
-
-def _input_weights(cfg: ProtocolConfig, parties: int) -> np.ndarray:
-    ns = parties - 1
-    shape = (2,) * (2 * ns)
-    if cfg.input_distribution is None:
-        return np.full(shape, 1.0 / 4 ** ns)
-    want = x_bit_names(parties)
-    dist = cfg.input_distribution
-    if sorted(dist.names) != sorted(want):
-        raise ValueError(f"input_distribution must cover exactly {want}")
-    return marginal(dist, want).probs
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,16 @@ REFERENCE_VIOLATORS = {
     "ic-multicopy": frozenset({35, 37, 38, 40, 41, 42, 43, 44, 45}),
     "uffink-3": frozenset({21, 22, 30, 34, 36, 39, 41, 44, 46}),
 }
+CLASSIFY_CRITERIA = tuple(REFERENCE_VIOLATORS)  # what classify_catalog runs
 
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Generators (p_45-like, deterministic, white) plus grid and criteria."""
+    """Generators (p_45-like, deterministic, white) plus grid and criteria.
+    The grid has the same step along gamma and epsilon."""
 
     generators: tuple[Behavior, Behavior, Behavior]
-    gamma_step: float = DEFAULT_GRID_STEP
-    epsilon_step: float = DEFAULT_GRID_STEP
+    grid_step: float = DEFAULT_GRID_STEP
     criteria: tuple[str, ...] = ("ic-multi", "ic-multicopy")
 
     def __post_init__(self) -> None:
@@ -50,9 +51,9 @@ class SliceSpec:
         parties = {g.parties for g in self.generators}
         if len(parties) != 1:
             raise ValueError("slice generators must share the party count")
-        for step in (self.gamma_step, self.epsilon_step):
-            if not 0.0 < step <= 1.0:
-                raise ValueError(f"grid step must be in (0, 1], got {step}")
+        if not 0.0 < self.grid_step <= 1.0:
+            raise ValueError(f"grid step must be in (0, 1], got "
+                             f"{self.grid_step}")
 
     @property
     def parties(self) -> int:
@@ -60,14 +61,12 @@ class SliceSpec:
 
 
 def default_slice(criteria: Sequence[str] = ("ic-multi", "ic-multicopy"),
-                  gamma_step: float = DEFAULT_GRID_STEP,
-                  epsilon_step: float = DEFAULT_GRID_STEP) -> SliceSpec:
+                  grid_step: float = DEFAULT_GRID_STEP) -> SliceSpec:
     return SliceSpec(
         generators=(named_box("box45", parties=3),
                     named_box("deterministic-zero", parties=3),
                     named_box("white", parties=3)),
-        gamma_step=gamma_step, epsilon_step=epsilon_step,
-        criteria=tuple(criteria))
+        grid_step=grid_step, criteria=tuple(criteria))
 
 
 def slice_point(spec: SliceSpec, gamma: float, epsilon: float) -> Behavior:
@@ -110,8 +109,9 @@ def scan_slice(spec: SliceSpec, *, depth: int | None = None,
     gamma + epsilon > 1 are outside the simplex and skipped.
     """
     rows = []
-    for eps in _grid(spec.epsilon_step):
-        for gamma in _grid(spec.gamma_step):
+    grid = _grid(spec.grid_step)
+    for eps in grid:
+        for gamma in grid:
             if gamma + eps > 1.0 + 1e-9:
                 continue
             for criterion in spec.criteria:
@@ -214,7 +214,6 @@ class ClassificationResult:
     labelings of the class representatives cannot hide a violation."""
 
     rows: dict[int, dict[str, CriterionReport]]
-    criteria: tuple[str, ...]
 
     def violators(self, criterion: str) -> list[int]:
         return sorted(cid for cid, reps in self.rows.items()
@@ -225,10 +224,7 @@ class ClassificationResult:
         class present in the catalog agrees.  Classes absent from the catalog
         are reported as coverage gaps, not mismatches."""
         lines = []
-        for criterion in self.criteria:
-            want = REFERENCE_VIOLATORS.get(criterion)
-            if want is None:
-                continue
+        for criterion, want in REFERENCE_VIOLATORS.items():
             for cid in sorted(self.rows):
                 expect = cid in want
                 got = self.rows[cid][criterion].violated
@@ -240,31 +236,28 @@ class ClassificationResult:
         return lines
 
     def coverage_gaps(self) -> list[int]:
-        referenced = set()
-        for criterion in self.criteria:
-            referenced |= REFERENCE_VIOLATORS.get(criterion, frozenset())
+        referenced = frozenset().union(*REFERENCE_VIOLATORS.values())
         return sorted(referenced - set(self.rows))
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
-            "criteria": list(self.criteria),
+            "criteria": list(CLASSIFY_CRITERIA),
             "classes": {str(cid): {c: reps[c].to_json_obj()
-                                   for c in self.criteria}
+                                   for c in CLASSIFY_CRITERIA}
                         for cid, reps in sorted(self.rows.items())},
-            "violators": {c: self.violators(c) for c in self.criteria},
-            "reference_violators": {
-                c: sorted(REFERENCE_VIOLATORS[c])
-                for c in self.criteria if c in REFERENCE_VIOLATORS},
+            "violators": {c: self.violators(c) for c in CLASSIFY_CRITERIA},
+            "reference_violators": {c: sorted(want) for c, want
+                                    in REFERENCE_VIOLATORS.items()},
             "diff": self.diff_vs_reference(),
             "missing_classes": self.coverage_gaps(),
         }
 
     def text_table(self) -> str:
-        head = ["class"] + [f"{c} (lhs)" for c in self.criteria]
+        head = ["class"] + [f"{c} (lhs)" for c in CLASSIFY_CRITERIA]
         body = []
         for cid, reps in sorted(self.rows.items()):
             cells = [str(cid)]
-            for c in self.criteria:
+            for c in CLASSIFY_CRITERIA:
                 rep = reps[c]
                 mark = "violated" if rep.violated else "ok"
                 cells.append(f"{mark} ({rep.lhs:.6g})")
@@ -277,29 +270,16 @@ class ClassificationResult:
         return "\n".join(out)
 
 
-def classify_catalog(catalog: Sequence[CatalogEntry],
-                     criteria: Sequence[str] = ("ic-multicopy", "uffink-3")
-                     ) -> ClassificationResult:
-    """Orbit maxima of both criteria for every entry.  The published rows
-    are the tripartite classes, so every entry must have 3 parties; this
-    is checked before anything is evaluated."""
-    allowed = {"ic-multicopy", "uffink-3"}
-    bad = set(criteria) - allowed
-    if bad:
-        raise ValueError(f"classification supports {sorted(allowed)}, "
-                         f"got extra {sorted(bad)}")
+def classify_catalog(catalog: Sequence[CatalogEntry]) -> ClassificationResult:
+    """Orbit maxima of both classification criteria for every entry.  The
+    published rows are the tripartite classes, so every entry must have 3
+    parties; this is checked before anything is evaluated."""
     for i, entry in enumerate(catalog):
         if entry.behavior.parties != 3:
             raise ValueError(f"catalog entry {i} (class {entry.class_id}) "
                              f"has {entry.behavior.parties} parties; "
                              f"classification needs 3")
-    rows: dict[int, dict[str, CriterionReport]] = {}
-    for entry in catalog:
-        reps = {}
-        for criterion in criteria:
-            if criterion == "ic-multicopy":
-                reps[criterion] = multicopy_orbit_max(entry.behavior)
-            else:
-                reps[criterion] = eval_uffink(entry.behavior)
-        rows[entry.class_id] = reps
-    return ClassificationResult(rows, tuple(criteria))
+    return ClassificationResult({
+        entry.class_id: {"ic-multicopy": multicopy_orbit_max(entry.behavior),
+                         "uffink-3": eval_uffink(entry.behavior)}
+        for entry in catalog})

@@ -1,14 +1,16 @@
-"""Shared box constructors for the test suite."""
+"""Shared box constructors and comparison helpers for the test suite."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
 
 from icbox import behaviors as bh
 from icbox.behaviors import (Behavior, all_local_deterministic, bit_tuples,
                              local_deterministic, mix, named_box)
+from icbox.entropy import Channel, JointDistribution, binary_entropy
 
 _DET_CACHE: dict[int, list[Behavior]] = {}
 SAMPLED_DETS = 32   # beyond 4 parties, mix this many drawn deterministic boxes
@@ -119,3 +121,48 @@ def oracle_orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([
         (b.table.ravel()[maps].reshape(-1, 2 ** n, 2 ** n) @ signs) @ weights
         for maps in chunks])
+
+
+def behaviors_close(b1: Behavior, b2: Behavior, atol: float = 1e-12) -> bool:
+    return b1.parties == b2.parties and bool(
+        np.allclose(b1.table, b2.table, atol=atol, rtol=0.0))
+
+
+def pmf_items(d: JointDistribution
+              ) -> Iterable[tuple[tuple[int, ...], float]]:
+    """(values, probability) for every atom of d with nonzero weight."""
+    it = np.nditer(d.probs, flags=["multi_index"])
+    for v in it:
+        p = float(v)
+        if p != 0.0:
+            yield it.multi_index, p
+
+
+def transition(ch: Channel) -> np.ndarray:
+    """p(output | input) of a binary symmetric channel, [input, output]."""
+    e = ch.epsilon
+    return np.array([[1.0 - e, e], [e, 1.0 - e]])
+
+
+def apply_channel(d: JointDistribution, var: str, ch: Channel,
+                  new_name: str) -> JointDistribution:
+    """Append `new_name`, the channel output for `var`, to the joint.
+
+    The noise is fresh randomness, so I(new : anything | var) = 0 by
+    construction.  `var` must be binary.
+    """
+    ax = d.axis(var)
+    if d.probs.shape[ax] != 2:
+        raise ValueError(f"{var!r} has cardinality {d.probs.shape[ax]}, "
+                         f"need 2")
+    if new_name in d.names:
+        raise ValueError(f"name {new_name!r} already present")
+    moved = np.moveaxis(d.probs, ax, -1)
+    out = moved[..., :, None] * transition(ch)[(None,) * (moved.ndim - 1)]
+    out = np.moveaxis(out, -2, ax)  # original axis back in place, output last
+    return JointDistribution(d.names + (new_name,), np.ascontiguousarray(out))
+
+
+def capacity(ch: Channel) -> float:
+    """Capacity of the binary symmetric channel, 1 - h(epsilon) bits."""
+    return 1.0 - binary_entropy(ch.epsilon)

@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 
-from conftest import random_local_mixture
+from conftest import apply_channel, random_local_mixture
 from icbox.behaviors import (CatalogEntry, all_local_deterministic,
                              load_catalog, named_box)
 from icbox.cli import _bundled_catalog_path
 from icbox.criteria import eval_multicopy, eval_noisy_ic, evaluate
-from icbox.entropy import (Channel, JointDistribution, apply_channel,
+from icbox.entropy import (Channel, JointDistribution,
                            cond_mutual_information, entropy,
                            mutual_information)
 from icbox.protocol import (concat_success_closed, concat_success_simulated,

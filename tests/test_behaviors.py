@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_svetlichny, oracle_orbit_forms,
+from conftest import (behaviors_close, make_svetlichny, oracle_orbit_forms,
                       random_local_mixture, random_ns_box)
 from icbox import behaviors as bh
 from icbox.criteria import _UFFINK3_WEIGHTS
@@ -162,13 +162,13 @@ def test_relabelings_are_involutive_and_preserve_ns():
     rng = np.random.default_rng(11)
     b = random_local_mixture(rng, 3, extremal=bh.named_box("box45", parties=3),
                              extremal_weight=0.5)
-    assert bh.behaviors_close(
+    assert behaviors_close(
         bh.permute_parties(bh.permute_parties(b, (1, 2, 0)), (2, 0, 1)), b)
-    assert bh.behaviors_close(
+    assert behaviors_close(
         bh.flip_inputs(bh.flip_inputs(b, (1, 0, 1)), (1, 0, 1)), b)
     roundtrip = bh.relabel_outputs(
         bh.relabel_outputs(b, (1, 0, 1), (0, 1, 1)), (1, 0, 1), (0, 1, 1))
-    assert bh.behaviors_close(roundtrip, b)
+    assert behaviors_close(roundtrip, b)
     for _ in range(10):
         perm = tuple(rng.permutation(3).tolist())
         masks = rng.integers(0, 2, size=9).tolist()
@@ -277,9 +277,12 @@ _ISO = bh.named_box("isotropic", bias=0.8)
     lambda: bh.local_deterministic(2, [(0, 1, 1), (0, 1)]),
     lambda: _ISO.prob((0, 0, 2), (0, 0, 0)),
     lambda: _ISO.prob((0, 0, 0), (0, 0.5, 0)),
+    lambda: bh.tuple_to_index((2, 3)),
+    lambda: bh.tuple_to_index((0, 7)),
+    lambda: bh.tuple_to_index((1, -1)),
 ], ids=["correlator-short", "correlator-2", "flip-2", "outputs-3",
         "deterministic-2-3", "deterministic-triple", "prob-x-2",
-        "prob-a-half"])
+        "prob-a-half", "index-2-3", "index-0-7", "index-minus-1"])
 def test_bits_outside_0_1_are_refused(call):
     with pytest.raises(ValueError):
         call()
@@ -290,8 +293,8 @@ def test_numpy_ints_and_bools_are_bits():
     assert bh.correlator(b, np.array([1, 1, 1])) == bh.correlator(b, (1, 1, 1))
     assert b.prob((np.int8(1), False, True), (0, 0, 0)) == b.prob(
         (1, 0, 1), (0, 0, 0))
-    assert bh.behaviors_close(bh.flip_inputs(b, (True, False, np.int64(1))),
-                              bh.flip_inputs(b, (1, 0, 1)))
+    assert behaviors_close(bh.flip_inputs(b, (True, False, np.int64(1))),
+                           bh.flip_inputs(b, (1, 0, 1)))
 
 
 def test_json_roundtrip(tmp_path):
@@ -300,7 +303,7 @@ def test_json_roundtrip(tmp_path):
         path = tmp_path / "box.json"
         bh.save_behavior(b, path)
         loaded = bh.load_behavior(path)
-        assert bh.behaviors_close(loaded, b, atol=0.0)
+        assert behaviors_close(loaded, b, atol=0.0)
     obj = bh.to_json_obj(bh.named_box("deterministic-zero", parties=3))
     assert len(obj["table"]) == 8  # zero entries omitted
 
@@ -479,6 +482,6 @@ def test_behaviors_close():
     t = a.table.copy()
     t[0, 0] += 2e-12
     t[0, 1] -= 2e-12
-    assert bh.behaviors_close(a, bh.Behavior(2, t), atol=1e-11)
-    assert not bh.behaviors_close(a, bh.Behavior(2, t), atol=1e-13)
-    assert not bh.behaviors_close(a, bh.named_box("white", parties=3))
+    assert behaviors_close(a, bh.Behavior(2, t), atol=1e-11)
+    assert not behaviors_close(a, bh.Behavior(2, t), atol=1e-13)
+    assert not behaviors_close(a, bh.named_box("white", parties=3))

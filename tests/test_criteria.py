@@ -16,7 +16,7 @@ from icbox.criteria import (_UFFINK3_WEIGHTS, CRITERION_IDS, VIOLATION_TOL,
                             eval_noisy_ic, eval_stronger_bipartite,
                             eval_success_bound, eval_uffink, evaluate,
                             multicopy_orbit_max)
-from icbox.entropy import JointDistribution, binary_entropy
+from icbox.entropy import binary_entropy
 from icbox.protocol import bias_weights, single_copy_joint
 
 
@@ -78,14 +78,10 @@ def test_stronger_bipartite():
     direct = eval_stronger_bipartite((dense, dense))
     assert direct.lhs == pytest.approx(2.0, abs=1e-12)
 
-
-def test_stronger_bipartite_rejects_correlated_inputs():
-    diag = np.zeros((2, 2))
-    diag[0, 0] = diag[1, 1] = 0.5
-    dist = JointDistribution(("X1^1", "X2^1"), diag)
-    with pytest.raises(NotImplementedError):
-        evaluate("ic-bipartite-strong", named_box("pr"),
-                 input_distribution=dist)
+    # the rhs is H(M), the bipartite criterion's rhs
+    b = random_ns_box(np.random.default_rng(26), 2)
+    assert (evaluate("ic-bipartite-strong", b).rhs
+            == evaluate("ic-bipartite", b).rhs)
 
 
 def test_multipartite_frozen_values():
@@ -97,7 +93,8 @@ def test_multipartite_frozen_values():
                                             "k=2,i=1", "k=2,i=2"]
     for v in rep.details["terms"].values():
         assert v == pytest.approx(1.0, abs=1e-12)
-    assert rep.details["input_correlation"] == pytest.approx(0.0, abs=1e-12)
+    assert rep.details["input_correlation"] == 0.0
+    assert rep.rhs == rep.details["message_entropy"]
 
     rep = evaluate("ic-multi", named_box("box45", parties=4))
     assert rep.lhs == pytest.approx(6.0, abs=1e-12)
@@ -108,14 +105,13 @@ def test_multipartite_frozen_values():
     assert not rep.violated
 
 
-def test_multipartite_joint_shape_checks():
+def test_multipartite_direct_joint_entry_point():
+    # the dense run joint carries both guesses, so it stands in for each
     joints = (single_copy_joint(named_box("box45")),) * 2
-    with pytest.raises(ValueError):
-        eval_multipartite_ic(joints, parties=4)
-    with pytest.raises(ValueError):
-        eval_multipartite_ic(joints, bits_per_sender=4)
-    rep = eval_multipartite_ic(joints, parties=3, bits_per_sender=2)
+    rep = eval_multipartite_ic(joints, 3)
     assert rep.lhs == pytest.approx(4.0, abs=1e-12)
+    assert rep.rhs == rep.details["message_entropy"]
+    assert rep.details["input_correlation"] == 0.0
 
 
 def test_multipartite_holds_on_local_boxes():

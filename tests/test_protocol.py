@@ -7,20 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import make_svetlichny, random_ns_box
 from icbox.behaviors import PARITY, mix, named_box, tuple_to_index
-from icbox.entropy import (Channel, JointDistribution,
-                           cond_mutual_information, marginal,
+from icbox.entropy import (Channel, cond_mutual_information, marginal,
                            mutual_information)
-from icbox.protocol import (MAX_JOINT_VARS, ProtocolConfig, biases,
+from icbox.protocol import (MAX_JOINT_VARS, biases,
                             concat_success_closed, concat_success_simulated,
                             guess_name, message_name, noisy_message_name,
                             single_copy_joint, success_profile,
                             x_bit_name, x_bit_names)
 from icbox.scan import default_slice, slice_point
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(parties=1)
 
 
 def test_name_helpers():
@@ -109,27 +103,9 @@ def test_success_profile_matches_dense_oracle(parties, seed):
         assert abs(success_profile(b).probabilities[i - 1] - hit) <= 1e-12
 
 
-def test_input_distribution_override():
-    point = np.zeros((2, 2))
-    point[1, 0] = 1.0
-    dist = JointDistribution(("X1^1", "X2^1"), point)
-    cfg = ProtocolConfig(parties=2, input_distribution=dist)
-    joint = single_copy_joint(named_box("pr"), cfg)
-    m = marginal(joint, ("X1^1", "X2^1"))
-    assert m.probs[1, 0] == pytest.approx(1.0, abs=1e-15)
-    m1 = marginal(joint, ("G1",))
-    assert m1.probs[1] == pytest.approx(1.0, abs=1e-15)  # G1 = X1 = 1
-
-    wrong = JointDistribution(("X1^1", "Y"), np.full((2, 2), 0.25))
-    with pytest.raises(ValueError):
-        single_copy_joint(named_box("pr"), ProtocolConfig(
-            parties=2, input_distribution=wrong))
-
-
 def test_channel_on_messages():
     eps = 0.2
-    cfg = ProtocolConfig(parties=2, channel=Channel(eps))
-    joint = single_copy_joint(named_box("pr"), cfg)
+    joint = single_copy_joint(named_box("pr"), Channel(eps))
     m = marginal(joint, ("M1", "M1p"))
     flip = m.probs[0, 1] + m.probs[1, 0]
     assert flip == pytest.approx(eps, abs=1e-12)
@@ -143,10 +119,10 @@ def test_channel_on_messages():
 def test_noisy_senders_validation():
     with pytest.raises(ValueError):
         single_copy_joint(named_box("pr"), noisy_senders=(1,))
-    cfg = ProtocolConfig(parties=3, channel=Channel(0.1))
+    channel = Channel(0.1)
     with pytest.raises(ValueError):
-        single_copy_joint(named_box("box45"), cfg, noisy_senders=(3,))
-    joint = single_copy_joint(named_box("box45"), cfg, noisy_senders=(2,))
+        single_copy_joint(named_box("box45"), channel, noisy_senders=(3,))
+    joint = single_copy_joint(named_box("box45"), channel, noisy_senders=(2,))
     assert "M2p" in joint.names and "M1p" not in joint.names
 
 

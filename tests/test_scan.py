@@ -40,14 +40,14 @@ def test_slice_spec_validation():
         SliceSpec(generators=(named_box("white", parties=2),
                               named_box("white"), named_box("white")))
     with pytest.raises(ValueError):
-        default_slice(gamma_step=0.0)
+        default_slice(grid_step=0.0)
     with pytest.raises(ValueError):
-        default_slice(epsilon_step=1.5)
+        default_slice(grid_step=1.5)
     assert default_slice().parties == 3
 
 
 def test_scan_small_grid():
-    spec = default_slice(gamma_step=0.5, epsilon_step=0.5)
+    spec = default_slice(grid_step=0.5)
     rows = scan_slice(spec)
     # 6 admissible points x 2 criteria
     assert len(rows) == 12
@@ -65,8 +65,7 @@ def test_scan_small_grid():
 
 
 def test_scan_frozen_point():
-    spec = default_slice(criteria=("ic-multicopy",), gamma_step=0.2,
-                         epsilon_step=1.0)
+    spec = default_slice(criteria=("ic-multicopy",), grid_step=0.2)
     rows = scan_slice(spec)
     by_gamma = {r.gamma: r for r in rows if r.epsilon == 0.0}
     assert by_gamma[0.8].lhs == pytest.approx(2 * 0.8 ** 2, abs=1e-12)
@@ -74,7 +73,7 @@ def test_scan_frozen_point():
 
 
 def test_scan_csv_format():
-    spec = default_slice(gamma_step=1.0, epsilon_step=1.0)
+    spec = default_slice(grid_step=1.0)
     rows = scan_slice(spec)
     buf = io.StringIO()
     write_scan_csv(rows, buf)
@@ -193,11 +192,6 @@ def test_classify_refuses_entries_that_are_not_tripartite(monkeypatch):
                                              f"{parties} parties"):
             classify_catalog(catalog)
     assert calls == []  # refused before any entry is evaluated
-
-
-def test_classify_rejects_other_criteria():
-    with pytest.raises(ValueError):
-        classify_catalog(_toy_catalog(), criteria=("ic-multi",))
 
 
 def test_classification_outputs():

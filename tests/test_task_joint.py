@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from conftest import random_local_mixture, random_ns_box
 from icbox import criteria
 from icbox.behaviors import Behavior, named_box, validate
-from icbox.entropy import Channel, JointDistribution, marginal
-from icbox.protocol import (ProtocolConfig, single_copy_joint,
-                            success_profile, task_joint_names, task_joints)
+from icbox.entropy import Channel, marginal
+from icbox.protocol import (single_copy_joint, success_profile,
+                            task_joint_names, task_joints)
 
 seeds = st.integers(0, 2**32 - 1)
 epsilons = st.floats(0.0, 0.5)
 
 
-def assert_conditioned_oracle(b, cfg=None, noisy_senders=None):
+def assert_conditioned_oracle(b, channel=None, noisy_senders=None):
     """Joint i is the dense run joint conditioned on J = i-1: its marginal
     with J, at J = i-1, times 2 for the uniform choice."""
-    joints = task_joints(b, cfg, noisy_senders=noisy_senders)
-    dense = single_copy_joint(b, cfg, noisy_senders=noisy_senders)
+    joints = task_joints(b, channel, noisy_senders=noisy_senders)
+    dense = single_copy_joint(b, channel, noisy_senders=noisy_senders)
     for i, joint in enumerate(joints, start=1):
         assert joint.names[-1] == f"G{i}"
         oracle = marginal(dense, joint.names + ("J",)).probs[..., i - 1] * 2
@@ -51,19 +51,7 @@ def test_matches_oracle_without_channel(parties, seed):
 @given(seed=seeds, eps=epsilons)
 def test_matches_oracle_with_channel(parties, noisy, seed, eps):
     b = random_ns_box(np.random.default_rng(seed), parties)
-    cfg = ProtocolConfig(parties=parties, channel=Channel(eps))
-    assert_conditioned_oracle(b, cfg, noisy)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=seeds, eps=epsilons, channel=st.booleans())
-def test_matches_oracle_with_input_distribution(seed, eps, channel):
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(4)).reshape(2, 2)
-    dist = JointDistribution(("X2^1", "X1^1"), weights)  # axes reordered
-    cfg = ProtocolConfig(parties=2, input_distribution=dist,
-                         channel=Channel(eps) if channel else None)
-    assert_conditioned_oracle(random_ns_box(rng, 2), cfg)
+    assert_conditioned_oracle(b, Channel(eps), noisy)
 
 
 def test_names_and_sizes():
@@ -72,18 +60,14 @@ def test_names_and_sizes():
     for parties, atoms in ((3, 128), (4, 1024), (6, 65536)):
         joints = task_joints(named_box("white", parties=parties))
         assert [j.probs.size for j in joints] == [atoms, atoms]
-    cfg = ProtocolConfig(parties=3, channel=Channel(0.1))
-    assert task_joints(named_box("box45"), cfg)[0].probs.size == 512
+    assert task_joints(named_box("box45"), Channel(0.1))[0].probs.size == 512
 
 
 def test_rejects_what_the_oracle_rejects():
     with pytest.raises(ValueError):
         task_joints(named_box("pr"), noisy_senders=(1,))
-    cfg = ProtocolConfig(parties=3, channel=Channel(0.1))
     with pytest.raises(ValueError):
-        task_joints(named_box("box45"), cfg, noisy_senders=(3,))
-    with pytest.raises(ValueError):
-        task_joints(named_box("box45"), ProtocolConfig(parties=2))
+        task_joints(named_box("box45"), Channel(0.1), noisy_senders=(3,))
 
 
 def enumerated_joint(b, i, eps, noisy):
@@ -124,9 +108,8 @@ def signaling_boxes():
 @pytest.mark.parametrize("box", signaling_boxes(), ids=["x_N-output", "random"])
 def test_signaling_box_joints_are_exact_runs(box):
     assert not validate(box).ok
-    cfg = ProtocolConfig(parties=box.parties, channel=Channel(0.2))
     for noisy in ((), (1,)):
-        joints = task_joints(box, cfg, noisy_senders=noisy)
+        joints = task_joints(box, Channel(0.2), noisy_senders=noisy)
         for i, joint in enumerate(joints, start=1):
             assert abs(joint.probs.sum() - 1.0) <= 1e-12
             want = enumerated_joint(box, i, 0.2, noisy)
