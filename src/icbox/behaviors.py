@@ -136,61 +136,90 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(b: Behavior, atol: float = PROB_TOL) -> ValidationReport:
-    """Check normalization, nonnegativity and full-subset no-signaling.
-
-    No-signaling is checked for every nonempty proper subset S of parties:
-    the marginal on S's outcomes must not depend on the inputs outside S.
-    The reported magnitude is the largest spread of a marginal entry across
-    the outside inputs.  Structural problems raise StructureError; this
-    function only reports constraint violations.
-    """
-    n = b.parties
-    t = b.table
-    if np.isnan(t).any():  # defensive, already rejected at construction
-        raise StructureError("table contains NaN entries")
-    found: list[ConstraintViolation] = []
-
-    neg = t < -ENTRY_CLAMP
-    if neg.any():
-        xi, ai = np.unravel_index(int(np.argmin(t)), t.shape)
-        found.append(ConstraintViolation(
-            "nonnegativity",
-            f"entry x={index_to_tuple(int(xi), n)} a={index_to_tuple(int(ai), n)}",
-            float(-t.min()),
-        ))
-
-    row_sums = t.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > atol
-    if bad.any():
-        xi = int(np.argmax(np.abs(row_sums - 1.0)))
-        found.append(ConstraintViolation(
-            "normalization",
-            f"input x={index_to_tuple(xi, n)} sums to {row_sums[xi]:.12g}",
-            float(np.abs(row_sums - 1.0).max()),
-        ))
-
-    # tensor view: axes 0..n-1 inputs, n..2n-1 outcomes
-    tens = t.reshape((2,) * (2 * n))
-    parties = list(range(n))
+@functools.cache
+def _outside_axes(n: int) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]],
+                                   ...]:
+    """(party names of S, outcome axes, input axes of the parties outside
+    S) for every nonempty proper subset S, in itertools.combinations order,
+    as axes of a stacked (E,) + (2,) * 2N table view: axis 0 the entry,
+    1..N the inputs, N+1..2N the outcomes."""
+    parties = range(n)
+    out = []
     for size in range(1, n):
         for subset in itertools.combinations(parties, size):
             outside = [p for p in parties if p not in subset]
-            # marginal over outcomes of the outside parties
-            marg = tens.sum(axis=tuple(n + p for p in outside))
-            # spread across the outside parties' inputs must vanish
-            spread = marg.max(axis=tuple(outside)) - marg.min(axis=tuple(outside))
+            out.append((",".join(str(p + 1) for p in subset),
+                        tuple(1 + n + p for p in outside),
+                        tuple(1 + p for p in outside)))
+    return tuple(out)
+
+
+def _validate_stack(t: np.ndarray, atol: float = PROB_TOL
+                    ) -> list[ValidationReport]:
+    """ValidationReport of every table in the (E, 2^N, 2^N) stack t.
+
+    Each check runs once over the whole stack; the violation text is built
+    only for the entries that fail.  No-signaling is checked for every
+    nonempty proper subset S of parties: the marginal on S's outcomes must
+    not depend on the inputs outside S.  The reported magnitude is the
+    largest spread of a marginal entry across the outside inputs.
+    """
+    e, size, _ = t.shape
+    n = size.bit_length() - 1
+    if np.isnan(t).any():  # defensive, already rejected at construction
+        raise StructureError("table contains NaN entries")
+    lowest = t.min(axis=(1, 2))
+    row_sums = t.sum(axis=2)
+    off = np.abs(row_sums - 1.0)
+    worst_off = off.max(axis=1)
+    # tensor view: axis 0 the entry, then the inputs, then the outcomes
+    tens = t.reshape((e,) + (2,) * (2 * n))
+    spreads = []
+    for _, outcomes, inputs in _outside_axes(n):
+        marg = tens.sum(axis=outcomes)   # marginal of S's outcomes
+        spreads.append(marg.max(axis=inputs) - marg.min(axis=inputs))
+    worst_spread = np.concatenate([s.reshape(e, -1) for s in spreads],
+                                  axis=1).max(axis=1)
+    failing = ((lowest < -ENTRY_CLAMP) | (worst_off > atol)
+               | (worst_spread > atol))
+
+    reports = [ValidationReport(n)] * e
+    for i in np.flatnonzero(failing).tolist():
+        found: list[ConstraintViolation] = []
+        if lowest[i] < -ENTRY_CLAMP:
+            xi, ai = divmod(int(np.argmin(t[i])), size)
+            found.append(ConstraintViolation(
+                "nonnegativity",
+                f"entry x={index_to_tuple(xi, n)} a={index_to_tuple(ai, n)}",
+                float(-lowest[i]),
+            ))
+        if worst_off[i] > atol:
+            xi = int(np.argmax(off[i]))
+            found.append(ConstraintViolation(
+                "normalization",
+                f"input x={index_to_tuple(xi, n)} sums to {row_sums[i, xi]:.12g}",
+                float(worst_off[i]),
+            ))
+        for (names, _, _), spread in zip(_outside_axes(n), spreads):
+            spread = spread[i]
             worst = float(spread.max())
             if worst > atol:
                 loc = np.unravel_index(int(np.argmax(spread)), spread.shape)
-                names = ",".join(str(p + 1) for p in subset)
                 found.append(ConstraintViolation(
                     "no-signaling",
                     f"marginal of parties {{{names}}} varies with outside inputs "
                     f"(at x_S,a_S index {tuple(int(v) for v in loc)})",
                     worst,
                 ))
-    return ValidationReport(parties=n, violations=tuple(found))
+        reports[i] = ValidationReport(n, tuple(found))
+    return reports
+
+
+def validate(b: Behavior, atol: float = PROB_TOL) -> ValidationReport:
+    """Check normalization, nonnegativity and full-subset no-signaling
+    (_validate_stack of the one table).  Structural problems raise
+    StructureError; this function only reports constraint violations."""
+    return _validate_stack(b.table[None], atol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +366,15 @@ def _permuted_bits(n: int) -> np.ndarray:
     return moved
 
 
+@functools.cache
+def _walsh_hadamard(n: int) -> np.ndarray:
+    """(2^N, 2^N) signs H[x, α] = (-1)^|α & x|.  Shared, so read-only."""
+    x = np.arange(2 ** n)
+    signs = _SIGNS[x[:, None] & x]
+    signs.setflags(write=False)
+    return signs
+
+
 def _source_index(n: int, perm: Sequence[int], flip=0, beta=0,
                   alpha=0) -> np.ndarray:
     """Flat source index of every entry of a relabeled N-party table.
@@ -419,8 +457,7 @@ def orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
     size = 2 ** n
     moved = _permuted_bits(n)
     d = correlators(b)[moved[:, :, None] ^ moved[:, None, :]]
-    x = np.arange(size)
-    wh = weights[:, :, None] * _SIGNS[x[:, None] & x][:, None, :]
+    wh = weights[:, :, None] * _walsh_hadamard(n)[:, None, :]
     forms = d.reshape(-1, size) @ wh.reshape(size, -1)
     return forms.reshape(-1, weights.shape[1], size)
 
@@ -567,35 +604,56 @@ class CatalogEntry:
     behavior: Behavior
 
 
+def _check_catalog(entries: Sequence[CatalogEntry]) -> None:
+    """Raise for the first entry that fails validation: one stacked check
+    per party count."""
+    by_parties: dict[int, list[int]] = {}
+    for i, entry in enumerate(entries):
+        by_parties.setdefault(entry.behavior.parties, []).append(i)
+    failed = {}
+    for rows in by_parties.values():
+        reports = _validate_stack(
+            np.stack([entries[i].behavior.table for i in rows]))
+        failed.update((i, r) for i, r in zip(rows, reports) if not r.ok)
+    if failed:
+        i = min(failed)
+        raise ValueError(
+            f"catalog entry {i} (class {entries[i].class_id}) fails "
+            f"validation:\n" + failed[i].summary())
+
+
 def load_catalog(path) -> list[CatalogEntry]:
     """Load a JSON array of {"class": int, "behavior": {...}} entries.
 
     Class ids must be integers, each listed once.  Every behavior is
-    validated; entries that fail validation abort the load.
+    validated; entries that fail validation abort the load.  The first bad
+    entry in file order names the error, as if each entry were parsed and
+    validated before the next.
     """
     data = read_json(path)
     if not isinstance(data, list):
         raise StructureError("catalog must be a JSON array")
-    entries = []
-    seen = set()
-    for i, item in enumerate(data):
-        if not isinstance(item, Mapping):
-            raise StructureError(f"catalog entry {i} is not an object")
-        if "class" not in item or "behavior" not in item:
-            raise StructureError(f"catalog entry {i} lacks class/behavior keys")
-        class_id = item["class"]
-        if type(class_id) is not int:
-            raise StructureError(f"catalog entry {i}: class must be an "
-                                 f"integer, got {class_id!r}")
-        if class_id in seen:
-            raise StructureError(f"catalog entry {i} repeats class {class_id}")
-        seen.add(class_id)
-        beh = from_json_obj(item["behavior"])
-        report = validate(beh)
-        if not report.ok:
-            raise ValueError(
-                f"catalog entry {i} (class {class_id}) fails validation:\n"
-                + report.summary()
-            )
-        entries.append(CatalogEntry(class_id, beh))
+    entries: list[CatalogEntry] = []
+    seen: set[int] = set()
+    try:
+        for i, item in enumerate(data):
+            if not isinstance(item, Mapping):
+                raise StructureError(f"catalog entry {i} is not an object")
+            if "class" not in item or "behavior" not in item:
+                raise StructureError(f"catalog entry {i} lacks class/behavior "
+                                     f"keys")
+            class_id = item["class"]
+            if type(class_id) is not int:
+                raise StructureError(f"catalog entry {i}: class must be an "
+                                     f"integer, got {class_id!r}")
+            if class_id in seen:
+                raise StructureError(f"catalog entry {i} repeats class "
+                                     f"{class_id}")
+            seen.add(class_id)
+            entries.append(CatalogEntry(class_id,
+                                        from_json_obj(item["behavior"])))
+    except StructureError:
+        _check_catalog(entries)   # an invalid entry before it comes first
+        raise
+    _check_catalog(entries)
     return entries

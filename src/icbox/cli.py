@@ -161,6 +161,11 @@ def _from_config(flag: dict[str, Any], value: Any) -> Any:
     return flag["type"](value) if "type" in flag else value
 
 
+def _write_json(out: TextIO, obj: Any) -> None:
+    """obj as indented JSON with sorted keys and a newline, in one write."""
+    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     if path is None:
@@ -212,9 +217,7 @@ def _cmd_box(args: argparse.Namespace) -> int:
     box = parse_box_uri(args.box, args.parties, check=False)
     with _output(args.out) as out:
         if args.emit:
-            json.dump(behaviors.to_json_obj(box), out, indent=2,
-                      sort_keys=True)
-            out.write("\n")
+            _write_json(out, behaviors.to_json_obj(box))
         else:
             report = behaviors.validate(box)
             out.write(f"parties={box.parties} entries={box.table.size} "
@@ -244,8 +247,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                             epsilon=args.epsilon_channel)
     with _output(args.out) as out:
         if args.json:
-            json.dump(rep.to_json_obj(), out, indent=2, sort_keys=True)
-            out.write("\n")
+            _write_json(out, rep.to_json_obj())
         else:
             out.write(_report_line(rep) + "\n")
     return 1 if args.fail_on_violation and rep.violated else 0
@@ -306,8 +308,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     result = scan.classify_catalog(catalog)
     with _output(args.out) as out:
         if args.json:
-            json.dump(result.to_json_obj(), out, indent=2, sort_keys=True)
-            out.write("\n")
+            _write_json(out, result.to_json_obj())
         else:
             out.write(result.text_table() + "\n")
             for line in result.diff_vs_reference():

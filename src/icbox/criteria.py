@@ -167,15 +167,18 @@ def _orbit_max(b: Behavior, weights: np.ndarray
                ) -> tuple[float, int, np.ndarray, float]:
     """(maximum, variant, F at the variant, value of the identity variant)
     of sum_j F_j^2 over the relabeling orbit (behaviors.orbit_forms).
-    variant is the first maximizing row of relabeling_index_maps, order
-    (permutation, flip, β, α): rows that differ in β tie exactly, and
-    β = 0 comes first."""
+    variant is the first row of relabeling_index_maps, order
+    (permutation, flip, β, α), whose value is at least
+    top - 1e-15 max(1, top): exactly tied rows are summed in different
+    orders, so rounding must not pick among them.  Rows that differ in β
+    tie exactly, and β = 0 comes first."""
     size = 2 ** b.parties
     forms = orbit_forms(b, weights)
     values = np.einsum("rja,rja->ra", forms, forms).ravel()
-    best = int(values.argmax())
+    top = float(values[values.argmax()])
+    best = int((values >= top - 1e-15 * max(1.0, top)).argmax())
     row, alpha = divmod(best, size)
-    return (float(values[best]), row * size * size + alpha,
+    return (top, row * size * size + alpha,
             forms[row, :, alpha], float(values[0]))
 
 

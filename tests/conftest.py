@@ -166,3 +166,34 @@ def apply_channel(d: JointDistribution, var: str, ch: Channel,
 def capacity(ch: Channel) -> float:
     """Capacity of the binary symmetric channel, 1 - h(epsilon) bits."""
     return 1.0 - binary_entropy(ch.epsilon)
+
+
+def sequential_load_catalog(path) -> list[bh.CatalogEntry]:
+    """load_catalog as a plain loop: parse entry i, validate it, then go on
+    to entry i + 1.  The reference for the order of load_catalog's errors."""
+    data = bh.read_json(path)
+    if not isinstance(data, list):
+        raise bh.StructureError("catalog must be a JSON array")
+    entries = []
+    seen = set()
+    for i, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise bh.StructureError(f"catalog entry {i} is not an object")
+        if "class" not in item or "behavior" not in item:
+            raise bh.StructureError(f"catalog entry {i} lacks class/behavior "
+                                    f"keys")
+        class_id = item["class"]
+        if type(class_id) is not int:
+            raise bh.StructureError(f"catalog entry {i}: class must be an "
+                                    f"integer, got {class_id!r}")
+        if class_id in seen:
+            raise bh.StructureError(f"catalog entry {i} repeats class "
+                                    f"{class_id}")
+        seen.add(class_id)
+        beh = bh.from_json_obj(item["behavior"])
+        report = bh.validate(beh)
+        if not report.ok:
+            raise ValueError(f"catalog entry {i} (class {class_id}) fails "
+                             f"validation:\n" + report.summary())
+        entries.append(bh.CatalogEntry(class_id, beh))
+    return entries

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (behaviors_close, make_svetlichny, oracle_orbit_forms,
-                      random_local_mixture, random_ns_box)
+                      random_local_mixture, random_ns_box,
+                      sequential_load_catalog)
 from icbox import behaviors as bh
 from icbox.criteria import _UFFINK3_WEIGHTS
 from icbox.protocol import bias_weights
@@ -475,6 +476,118 @@ def test_load_catalog_rejects_bad_class_ids(tmp_path, ids):
     path.write_text(json.dumps([{"class": c, "behavior": obj} for c in ids]))
     with pytest.raises(bh.StructureError, match="class"):
         bh.load_catalog(path)
+
+
+def _bad_table(kind: str, b: bh.Behavior) -> np.ndarray:
+    """b's table broken so that validate refuses it."""
+    n = b.parties
+    t = b.table.copy()
+    if kind == "signaling":    # party 1 outputs party 2's input
+        t[:] = 0.0
+        for xi in range(2 ** n):
+            t[xi, ((xi >> (n - 2)) & 1) << (n - 1)] = 1.0
+    elif kind == "negative":
+        t[0, 0] -= 1.0
+        t[0, 1] += 1.0
+    else:                      # not normalized
+        t *= 1.01
+    return t
+
+
+# entry kinds: the ones after "valid" fail validation, the rest are
+# structurally malformed
+CATALOG_KINDS = ("valid", "signaling", "negative", "unnormalized",
+                 "bad-bits", "no-behavior", "non-object", "float-class",
+                 "repeated-class")
+
+
+def _catalog_item(kind: str, class_id: int, parties: int, seed: int):
+    b = random_ns_box(np.random.default_rng(seed), parties)
+    if kind in ("signaling", "negative", "unnormalized"):
+        b = bh.Behavior(parties, _bad_table(kind, b))
+    obj = bh.to_json_obj(b)
+    if kind == "bad-bits":
+        obj["table"][0]["a"] = [2] * parties
+    item = {"class": class_id, "behavior": obj}
+    if kind == "no-behavior":
+        del item["behavior"]
+    elif kind == "non-object":
+        return [class_id, obj]
+    elif kind == "float-class":
+        item["class"] = class_id + 0.5
+    elif kind == "repeated-class":
+        item["class"] = 1
+    return item
+
+
+def _load_outcome(load, path):
+    """The entries load returns, or the type and text of what it raises."""
+    try:
+        return [(e.class_id, e.behavior.parties, e.behavior.table.tobytes())
+                for e in load(path)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.tuples(
+    st.sampled_from(CATALOG_KINDS[:1] * 6 + CATALOG_KINDS[1:]),
+    st.sampled_from([2, 3, 4]), st.integers(0, 2 ** 32 - 1)), max_size=9))
+def test_stacked_catalog_errors_match_a_sequential_load(tmp_path_factory,
+                                                        items):
+    catalog = [_catalog_item(kind, i + 1, parties, seed)
+               for i, (kind, parties, seed) in enumerate(items)]
+    path = tmp_path_factory.mktemp("catalog") / "cat.json"
+    path.write_text(json.dumps(catalog))
+    want = _load_outcome(sequential_load_catalog, path)
+    assert _load_outcome(bh.load_catalog, path) == want
+
+
+def test_catalog_error_names_the_first_bad_entry(tmp_path):
+    kinds = ["valid"] * 7
+    kinds[3], kinds[5] = "signaling", "bad-bits"
+    catalog = [_catalog_item(kind, i + 1, 3 - i % 2, i)
+               for i, kind in enumerate(kinds)]
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(catalog))
+    with pytest.raises(ValueError,
+                       match=r"^catalog entry 3 \(class 4\) fails validation"):
+        bh.load_catalog(path)
+    kinds[3] = "valid"
+    path.write_text(json.dumps([_catalog_item(kind, i + 1, 3 - i % 2, i)
+                                for i, kind in enumerate(kinds)]))
+    with pytest.raises(bh.StructureError, match="^table entry 0: a bits"):
+        bh.load_catalog(path)
+
+
+def test_empty_catalog_loads(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text("[]")
+    assert bh.load_catalog(path) == []
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_stacked_check_agrees_with_validate_at_the_tolerance(parties):
+    rng = np.random.default_rng(70 + parties)
+    tables = []
+    for scale in (0.99, 1.01):
+        shift = scale * bh.PROB_TOL
+        for _ in range(3):
+            b = random_ns_box(rng, parties)
+            x, a = rng.integers(2 ** parties, size=2)
+            t = b.table.copy()
+            t[x, a] += shift   # a row sum off by shift
+            tables.append(t)
+            t = b.table.copy()
+            # party 1's marginal at input x moves by shift, the row sum not
+            t[x, a & ~(1 << (parties - 1))] += shift
+            t[x, a | 1 << (parties - 1)] -= shift
+            tables.append(t)
+    stacked = bh._validate_stack(np.stack(tables))
+    reports = [bh.validate(bh.Behavior(parties, t)) for t in tables]
+    assert [r.ok for r in stacked] == [r.ok for r in reports]
+    assert [r.summary() for r in stacked] == [r.summary() for r in reports]
+    assert [r.ok for r in reports] == [True] * 6 + [False] * 6
 
 
 def test_behaviors_close():

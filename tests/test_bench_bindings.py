@@ -2,12 +2,17 @@
 so deleting one fails here and not only in the benchmark's own tests.  The
 harness modules are imported, never changed."""
 
+import collections
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from icbox import scan
+from icbox.behaviors import CatalogEntry, load_catalog
+from icbox.cli import _bundled_catalog_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +45,20 @@ def test_workload_imports_resolve():
         pytest.fail(f"perfbench/workloads.py no longer imports: {exc}")
     assert set(workloads.WORKLOADS) == {"slice-scan", "boundary-rays",
                                         "catalog-classify", "multiparty-eval"}
+
+
+def test_classify_evaluates_each_entry_once(monkeypatch):
+    """perfbench's catalog check pins one multicopy_orbit_max call per
+    entry, counted through the icbox.scan binding its tracer wraps."""
+    catalog = load_catalog(_bundled_catalog_path())
+    catalog += [CatalogEntry(1000 + i, e.behavior)
+                for i, e in enumerate(catalog)]
+    calls = collections.Counter()
+    for name in ("multicopy_orbit_max", "eval_uffink"):
+        def counted(b, name=name, original=getattr(scan, name)):
+            calls[name] += 1
+            return original(b)
+        monkeypatch.setattr(scan, name, counted)
+    scan.classify_catalog(catalog)
+    assert calls == {"multicopy_orbit_max": len(catalog),
+                     "eval_uffink": len(catalog)}

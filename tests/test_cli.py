@@ -350,6 +350,22 @@ def test_repeated_catalog_class_exits_2(tmp_path, capsys):
     assert "repeats class 45" in err
 
 
+def test_classify_empty_catalog(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[]")
+    code, out, _ = run(capsys, "classify", "--catalog", str(path), "--json")
+    assert code == 0
+    assert '"classes": {}' in out
+    assert json.loads(out)["violators"] == {"ic-multicopy": [],
+                                            "uffink-3": []}
+    code, out, _ = run(capsys, "classify", "--catalog", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "class  ic-multicopy (lhs)  uffink-3 (lhs)"
+    assert lines[1].startswith("note: classes absent from catalog")
+    assert len(lines) == 2
+
+
 def test_classify_refuses_non_tripartite_catalog(tmp_path, capsys):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(

@@ -194,6 +194,13 @@ def test_classify_refuses_entries_that_are_not_tripartite(monkeypatch):
     assert calls == []  # refused before any entry is evaluated
 
 
+def test_classify_empty_catalog():
+    result = classify_catalog([])
+    assert result.to_json_obj()["classes"] == {}
+    assert result.violators("ic-multicopy") == []
+    assert result.text_table() == "class  ic-multicopy (lhs)  uffink-3 (lhs)"
+
+
 def test_classification_outputs():
     result = classify_catalog(_toy_catalog())
     table = result.text_table()
