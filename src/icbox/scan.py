@@ -1,5 +1,5 @@
 """Parameter sweeps over a two-parameter slice of the no-signaling set,
-criterion boundary location by bisection, and catalog classification.
+criterion boundary location on the margin, and catalog classification.
 
 The default slice mixes three 3-party generators,
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .behaviors import Behavior, CatalogEntry, mix, named_box
-from .criteria import (CriterionReport, eval_uffink, evaluate,
-                       multicopy_orbit_max)
+from .criteria import (VIOLATION_TOL, CriterionReport, eval_uffink,
+                       evaluate, multicopy_orbit_max)
 
 BISECTION_TOL = 1e-6
 DEFAULT_GRID_STEP = 0.01
@@ -138,25 +138,73 @@ def _check_tol(tol: float) -> None:
                          f"got {tol}")
 
 
-def bisect_threshold(predicate: Callable[[float], bool], lo: float, hi: float,
+class NoCrossing(ValueError):
+    """The ends of a bracket do not have f <= 0 at lo and f > 0 at hi."""
+
+
+def bisect_threshold(f: Callable[[float], float], lo: float, hi: float,
                      tol: float = BISECTION_TOL) -> tuple[float, float]:
-    """Shrink [lo, hi] to width <= tol keeping predicate False at lo and
-    True at hi.  The initial endpoints must already bracket the change.
-    Stops early once lo and hi are adjacent floats, where no midpoint
-    lies strictly between them."""
+    """Shrink [lo, hi] to width <= tol keeping f(lo) <= 0 < f(hi).
+
+    f is signed: "crossed" means f(x) > 0, so f == 0 counts as not crossed,
+    and a bool predicate works too (True > 0).  f is evaluated at both ends
+    first; NoCrossing is raised when they do not bracket.  Then the ITP
+    method (Oliveira and Takahashi, ACM TOMS 47(1), art. 5, 2020) with
+    kappa1 = 0.1 / (hi - lo), kappa2 = 2 and n0 = 1: a regula falsi step,
+    truncated towards the midpoint and projected into the range that keeps
+    at most ceil(log2((hi - lo) / tol)) + 1 further evaluations.  It falls
+    back to the midpoint when the f values are not finite, and stops early
+    once lo and hi are adjacent floats, where no point lies strictly
+    between them."""
     _check_tol(tol)
-    if predicate(lo):
-        raise ValueError(f"predicate already true at {lo}")
-    if not predicate(hi):
-        raise ValueError(f"predicate never turns true by {hi}")
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    if f_lo > 0:
+        raise NoCrossing(f"predicate already true at {lo}")
+    if not f_hi > 0:
+        raise NoCrossing(f"predicate never turns true by {hi}")
+    width = hi - lo
+    if not width > tol:
+        return lo, hi
+    kappa1 = 0.1 / width
+    # bisection needs n steps, the least n with tol 2^n >= width
+    n = math.ceil(math.log2(width) - math.log2(tol))
+    if math.ldexp(tol, n - 1) >= width:
+        n -= 1
+    elif math.ldexp(tol, n) < width:
+        n += 1
+    n_max = n + 1
+    # step j leaves a bracket at most eps 2^(n_max - j) wide (each ITP
+    # point lies within r of the midpoint), so n_max steps reach 2 eps <= tol
+    # with `slack` to spare for rounding; within a few float spacings of the
+    # ends there is no room for slack, and eps = 0 makes every step bisect
+    slack = 8.0 * math.ulp(max(abs(lo), abs(hi)))
+    eps = 0.5 * (tol - slack) if tol >= 4.0 * slack else 0.0
+    j = 0
     while hi - lo > tol:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if predicate(mid):
-            hi = mid
+        x = mid
+        rise = f_hi - f_lo
+        if math.isfinite(rise):
+            x_f = lo - width * (f_lo / rise)   # regula falsi
+            sigma = math.copysign(1.0, mid - x_f)
+            delta = kappa1 * width * width
+            if delta <= abs(mid - x_f):
+                x_f += sigma * delta           # truncate towards the middle
+            else:
+                x_f = mid
+            r = max(math.ldexp(eps, n_max - j) - 0.5 * width, 0.0)
+            x = x_f if abs(x_f - mid) <= r else mid - sigma * r
+            if not lo < x < hi:
+                x = mid
+        f_x = float(f(x))
+        if f_x > 0:
+            hi, f_hi = x, f_x
         else:
-            lo = mid
+            lo, f_lo = x, f_x
+        j += 1
     return lo, hi
 
 
@@ -172,25 +220,27 @@ class BoundaryPoint:
 def boundary(spec: SliceSpec, criterion: str, epsilon: float,
              tol: float = BISECTION_TOL, *, depth: int | None = None,
              epsilon_channel: float | None = None) -> BoundaryPoint:
-    """Critical gamma on the fixed-epsilon ray, located by bisection.
+    """Critical gamma on the fixed-epsilon ray, located on the margin.
 
     The ray runs from gamma = 0 to gamma = 1 - epsilon.  A boundary is
     reported only when the criterion is satisfied at the bottom and violated
     at the top (certified bracket); anything else is "no boundary on ray".
+    bisect_threshold runs on margin - VIOLATION_TOL, which is > 0 exactly
+    when the report says violated (m - t > 0 iff m > t for IEEE doubles).
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     _check_tol(tol)
-    hi_gamma = 1.0 - epsilon
 
-    def is_violated(gamma: float) -> bool:
+    def excess(gamma: float) -> float:
         return _eval_point(spec, criterion, gamma, epsilon, depth,
-                           epsilon_channel).violated
+                           epsilon_channel).margin - VIOLATION_TOL
 
-    if is_violated(0.0) or not is_violated(hi_gamma):
+    try:
+        lo, hi = bisect_threshold(excess, 0.0, 1.0 - epsilon, tol)
+    except NoCrossing:
         return BoundaryPoint(criterion, epsilon, None, None,
                              "no boundary on ray")
-    lo, hi = bisect_threshold(is_violated, 0.0, hi_gamma, tol)
     return BoundaryPoint(criterion, epsilon, 0.5 * (lo + hi), hi - lo, "ok")
 
 

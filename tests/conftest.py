@@ -197,3 +197,22 @@ def sequential_load_catalog(path) -> list[bh.CatalogEntry]:
                              f"validation:\n" + report.summary())
         entries.append(bh.CatalogEntry(class_id, beh))
     return entries
+
+
+def flag_bisection(predicate, lo: float, hi: float,
+                   tol: float) -> tuple[float, float] | None:
+    """Bisection on a bool predicate, halving [lo, hi] until it is at most
+    tol wide or lo and hi are adjacent floats; None when the ends do not
+    bracket (predicate False at lo, True at hi).  The reference for
+    scan.bisect_threshold's ITP on the margin."""
+    if predicate(lo) or not predicate(hi):
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

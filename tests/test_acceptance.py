@@ -16,7 +16,8 @@ from conftest import apply_channel, random_local_mixture
 from icbox.behaviors import (CatalogEntry, all_local_deterministic,
                              load_catalog, named_box)
 from icbox.cli import _bundled_catalog_path
-from icbox.criteria import eval_multicopy, eval_noisy_ic, evaluate
+from icbox.criteria import (VIOLATION_TOL, eval_multicopy, eval_noisy_ic,
+                            evaluate)
 from icbox.entropy import (Channel, JointDistribution,
                            cond_mutual_information, entropy,
                            mutual_information)
@@ -65,8 +66,8 @@ def test_02_tripartite_maximal_violation(capsys):
 def test_03_multicopy_threshold(capsys):
     t0 = time.perf_counter()
     lo, hi = bisect_threshold(
-        lambda e: eval_multicopy(named_box("isotropic", bias=e)).violated,
-        0.0, 1.0, tol=1e-6)
+        lambda e: eval_multicopy(named_box("isotropic", bias=e)).margin
+        - VIOLATION_TOL, 0.0, 1.0, tol=1e-6)
     e_star = 0.5 * (lo + hi)
     dt = time.perf_counter() - t0
     ok = abs(e_star - ROOT_HALF) <= 1e-6 and dt < 5.0
@@ -218,11 +219,11 @@ def test_09_noisy_channel_agreement(capsys):
 
     def critical_bias(eps):
         # both sides of the noisy criterion scale with the channel capacity,
-        # which vanishes as eps -> 0.5; bisect on the margin's sign, since a
+        # which vanishes as eps -> 0.5; find the margin's root, since a
         # fixed absolute violation tolerance would bias the boundary upward
         lo, hi = bisect_threshold(
             lambda e: eval_noisy_ic(named_box("isotropic", bias=e),
-                                    eps).margin > 0.0,
+                                    eps).margin,
             0.0, 1.0, tol=1e-6)
         return 0.5 * (lo + hi)
 

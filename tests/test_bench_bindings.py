@@ -62,3 +62,31 @@ def test_classify_evaluates_each_entry_once(monkeypatch):
     scan.classify_catalog(catalog)
     assert calls == {"multicopy_orbit_max": len(catalog),
                      "eval_uffink": len(catalog)}
+
+
+def test_boundary_takes_at_most_twelve_evaluations_per_ray(monkeypatch):
+    """perfbench's boundary-rays reads scan.bisect.evals_per_ray (evaluate
+    calls inside boundary) and scan.bisect.predicate_calls (calls of the
+    function boundary hands to bisect_threshold), both through the icbox.scan
+    bindings its tracer wraps.  ITP on the margin needs at most 12
+    evaluations on each stratum's ray, where flag bisection needs 22 to 24,
+    and boundary calls bisect_threshold once per bracketed ray."""
+    workloads = _load("workloads")
+    spec = scan.default_slice()
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("evaluate", "bisect_threshold"):
+        monkeypatch.setattr(scan, name, counted(name, getattr(scan, name)))
+    for criterion in workloads.RAY_CRITERIA:
+        for i in range(workloads.RAYS):
+            eps = (i + 0.5) / workloads.RAYS * 0.99
+            calls.clear()
+            assert scan.boundary(spec, criterion, eps).status == "ok"
+            assert calls["bisect_threshold"] == 1
+            assert calls["evaluate"] <= 12, (criterion, eps, calls)

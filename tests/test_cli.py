@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from icbox import cli
+from icbox import cli, scan
 from icbox.behaviors import named_box, save_behavior, to_json_obj
 
 
@@ -190,10 +190,24 @@ def test_boundary_csv(capsys):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_boundary_rejects_bad_tolerance(capsys, tol):
+def test_boundary_rejects_bad_tolerance(capsys, monkeypatch, tol):
+    evaluated = []
+    monkeypatch.setattr(scan, "evaluate",
+                        lambda *args, **kwargs: evaluated.append(args))
     code, out, err = run(capsys, "boundary", "--criterion", "ic-multicopy",
                          "--epsilon-slice", "0", "--tol", tol)
     assert code == 2 and out == "" and "tolerance" in err
+    assert evaluated == []  # refused before any point is evaluated
+
+
+@pytest.mark.parametrize("criterion, message", [
+    ("ic-noisy", "ic-noisy needs a channel epsilon"),
+    ("uffink-2", "uffink-2 needs a 2-party behavior")])
+def test_boundary_reports_evaluate_errors(capsys, criterion, message):
+    # an error of evaluate is not a ray without a boundary
+    code, out, err = run(capsys, "boundary", "--criterion", criterion,
+                         "--epsilon-slice", "0.2")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_boundary_tolerance_below_float_spacing(capsys):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_svetlichny
+from conftest import flag_bisection, make_svetlichny
 from icbox import scan
 from icbox.behaviors import CatalogEntry, named_box
+from icbox.criteria import evaluate
 from icbox.scan import (BISECTION_TOL, BOUNDARY_HEADER, CSV_HEADER,
                         REFERENCE_VIOLATORS, SliceSpec, bisect_threshold,
                         boundary, classify_catalog, default_slice, scan_slice,
@@ -112,7 +113,8 @@ def test_boundary_multicopy_on_axis():
     spec = default_slice()
     point = boundary(spec, "ic-multicopy", 0.0)
     assert point.status == "ok"
-    assert abs(point.gamma_star - 1.0 / math.sqrt(2.0)) <= 2e-6
+    # the certified bracket holds the unique root 1/sqrt(2)
+    assert abs(point.gamma_star - 1.0 / math.sqrt(2.0)) <= BISECTION_TOL / 2
     assert point.bracket_width <= BISECTION_TOL
 
 
@@ -143,6 +145,47 @@ def test_boundary_absent():
         "no boundary on ray"
     with pytest.raises(ValueError):
         boundary(spec, "uffink-3", 1.5)
+
+
+# 101 rays for each of four criteria, plus uffink-3, which has no boundary
+BATTERY = [(c, i / 100, kw) for i in range(101) for c, kw in (
+    ("ic-multicopy", {}), ("ic-multi", {}),
+    ("ic-noisy", {"epsilon_channel": 0.1}),
+    ("ic-success-bound", {"depth": 2}))] + [
+    ("uffink-3", eps, {}) for eps in (0.0, 0.3, 0.6, 0.9)]
+
+
+def test_boundary_matches_flag_bisection_oracle(monkeypatch):
+    """ITP on the margin keeps every status of the flag bisection and every
+    gamma* within tol of it, and evaluate certifies each returned bracket."""
+    spec = default_slice()
+    brackets = []
+
+    def recorded(*args):
+        brackets.append(bisect_threshold(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr(scan, "bisect_threshold", recorded)
+    found = 0
+    for criterion, eps, kw in BATTERY:
+        def violated(gamma):
+            return evaluate(criterion, slice_point(spec, gamma, eps),
+                            depth=kw.get("depth"),
+                            epsilon=kw.get("epsilon_channel")).violated
+
+        want = flag_bisection(violated, 0.0, 1.0 - eps, BISECTION_TOL)
+        brackets.clear()
+        got = boundary(spec, criterion, eps, **kw)
+        assert (got.status == "ok") == (want is not None), (criterion, eps)
+        if want is None:
+            assert brackets == []
+            continue
+        found += 1
+        assert abs(got.gamma_star - 0.5 * sum(want)) <= BISECTION_TOL
+        (lo, hi), = brackets
+        assert not violated(lo) and violated(hi), (criterion, eps)
+        assert got.bracket_width == hi - lo <= BISECTION_TOL
+    assert found == 400  # every ray of the four criteria but eps = 1
 
 
 def test_boundary_csv_format():
