@@ -12,7 +12,7 @@ from .criteria import (CRITERION_IDS, CriterionReport, eval_bipartite_ic,
                        eval_uffink, evaluate, multicopy_orbit_max)
 # the entropy() function itself stays in icbox.entropy: re-exporting it here
 # would shadow the submodule attribute on the package
-from .entropy import (Channel, JointDistribution, binary_entropy,
+from .entropy import (JointDistribution, binary_entropy,
                       cond_mutual_information, marginal, mutual_information)
 from .protocol import (SuccessProfile, biases, concat_success_closed,
                        concat_success_simulated, single_copy_joint,
@@ -29,7 +29,7 @@ __all__ = [
     "CRITERION_IDS", "CriterionReport", "eval_bipartite_ic", "eval_multicopy",
     "eval_multipartite_ic", "eval_noisy_ic", "eval_stronger_bipartite",
     "eval_success_bound", "eval_uffink", "evaluate", "multicopy_orbit_max",
-    "Channel", "JointDistribution", "binary_entropy",
+    "JointDistribution", "binary_entropy",
     "cond_mutual_information", "marginal", "mutual_information",
     "SuccessProfile", "biases", "concat_success_closed",
     "concat_success_simulated", "single_copy_joint", "success_profile",

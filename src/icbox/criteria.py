@@ -1,15 +1,17 @@
 """Information-causality style criteria evaluated on boxes and task joints.
 
-Entropic criteria (ic-bipartite, ic-bipartite-strong, ic-multi, ic-noisy)
-read mutual informations off the exact per-choice task joints
+Entropic criteria (ic-bipartite, ic-bipartite-strong, ic-multi) read
+mutual informations off the exact per-choice task joints
 (protocol.task_joints): a term that holds the guess G_i reads joints[i-1],
 the run in which the receiver picked bit i, and a term without a guess
 reads joints[0].  Input bits are independent and uniform, so the
-input-correlation term of ic-multi and ic-noisy is 0.  The quadratic
-criteria (ic-multicopy, uffink-2, uffink-3) and the concatenated success
-bound (ic-success-bound) are closed forms in the box biases and
-correlators.  Every evaluator returns a CriterionReport with lhs, rhs,
-margin = lhs - rhs and a violated flag at threshold VIOLATION_TOL.
+input-correlation term of ic-multi and ic-noisy is 0.  The noisy-channel
+criterion (ic-noisy), the quadratic criteria (ic-multicopy, uffink-2,
+uffink-3) and the concatenated success bound (ic-success-bound) are
+closed forms in the box biases and correlators; the information a guess
+of bias y carries, g(y) = 1 - h((1 + y)/2), is _guess_info.  Every
+evaluator returns a CriterionReport with lhs, rhs, margin = lhs - rhs and
+a violated flag at threshold VIOLATION_TOL.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .behaviors import Behavior, orbit_forms
-from .entropy import (Channel, JointDistribution, binary_entropy, entropy,
-                      cond_mutual_information, mutual_information)
+from .behaviors import PROB_TOL, Behavior, orbit_forms
+from .entropy import (JointDistribution, entropy, cond_mutual_information,
+                      mutual_information)
 from .protocol import (bias_weights, biases, guess_name, message_name,
-                       noisy_message_name, task_joints, x_bit_name)
+                       task_joints, x_bit_name)
 # not called here: the benchmark's tracer self-test reads this binding
 from .protocol import single_copy_joint  # noqa: F401
 
@@ -93,14 +95,13 @@ def eval_stronger_bipartite(joints: Sequence[JointDistribution]
     return _report("ic-bipartite-strong", lhs, entropy(joints[0], m), {})
 
 
-def _multi_lhs_terms(joints: Sequence[JointDistribution], parties: int,
-                     pick: Sequence[int] | None = None
+def _multi_lhs_terms(joints: Sequence[JointDistribution], parties: int
                      ) -> dict[tuple[int, int], float]:
-    """I(X_i^k : X_i^(others), G_i) for each requested sender k (default:
-    all of them) and bit i, read off joints[i-1]."""
+    """I(X_i^k : X_i^(others), G_i) for each sender k and bit i, read off
+    joints[i-1]."""
     senders = range(1, parties)
     out = {}
-    for k in (senders if pick is None else pick):
+    for k in senders:
         for i in _BITS:
             others = tuple(x_bit_name(j, i) for j in senders if j != k)
             out[(k, i)] = mutual_information(
@@ -124,6 +125,38 @@ def eval_multipartite_ic(joints: Sequence[JointDistribution],
     })
 
 
+_LN2 = math.log(2.0)
+
+
+def _guess_info(y: float) -> float:
+    """g(y) = 1 - h((1 + y)/2), the bits a guess of bias y carries.
+
+    For |y| < 1/2 the series sum_n y^(2n) / (2n (2n - 1) ln 2), summed
+    until a term no longer moves the total; otherwise
+    ((1 + y) log1p(y) + (1 - y) log1p(-y)) / (2 ln 2), which is exact at
+    |y| = 1.  Both keep every digit where 1 - h((1 + y)/2) cancels.  A
+    bias of a table whose rows sum to 1 within PROB_TOL lies within
+    PROB_TOL of [-1, 1]; such a |y| above 1 counts as 1, and a larger one
+    raises ValueError.
+    """
+    y = abs(y)
+    if y < 0.5:
+        u = y * y
+        power, total, n = u, 0.0, 1
+        while True:
+            term = power / (2 * n * (2 * n - 1))
+            if total + term == total:
+                return total / _LN2
+            total += term
+            power *= u
+            n += 1
+    if y >= 1.0:
+        if y > 1.0 + PROB_TOL:
+            raise ValueError(f"bias {y!r} is outside [-1, 1]")
+        return 1.0
+    return ((1.0 + y) * math.log1p(y) + (1.0 - y) * math.log1p(-y)) / (2 * _LN2)
+
+
 def eval_multicopy(b: Behavior) -> CriterionReport:
     """E_I^2 + E_II^2 against 1 (canonical party roles and labels)."""
     e_one, e_two = biases(b)
@@ -134,21 +167,19 @@ def eval_multicopy(b: Behavior) -> CriterionReport:
 def eval_success_bound(b: Behavior, depth: int) -> CriterionReport:
     """Concatenated Fano chain at depth K:
 
-    (N-1) Sum_r C(K,r) [1 - h((1 + E_I^(K-r) E_II^r)/2)]  vs  N-1,
+    (N-1) Sum_r C(K,r) g(E_I^(K-r) E_II^r)  vs  N-1,
 
-    the right side being the joint entropy of N-1 one-bit messages.  The
-    details carry the analytic lower bound
-    (N-1)/(2 ln 2) (E_I^2 + E_II^2)^K, which never exceeds the LHS.
+    g(y) = 1 - h((1 + y)/2) (_guess_info), the right side being the joint
+    entropy of N-1 one-bit messages.  The details carry the analytic lower
+    bound (N-1)/(2 ln 2) (E_I^2 + E_II^2)^K, which never exceeds the LHS.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     e_one, e_two = biases(b)
     scale = b.parties - 1
-    lhs = 0.0
-    for r in range(depth + 1):
-        gap = e_one ** (depth - r) * e_two ** r
-        lhs += math.comb(depth, r) * (1.0 - binary_entropy(0.5 * (1.0 + gap)))
-    lhs *= scale
+    lhs = scale * sum(math.comb(depth, r)
+                      * _guess_info(e_one ** (depth - r) * e_two ** r)
+                      for r in range(depth + 1))
     analytic = scale / (2.0 * math.log(2.0)) * (e_one ** 2 + e_two ** 2) ** depth
     return _report("ic-success-bound", lhs, float(scale), {
         "E_I": e_one, "E_II": e_two, "depth": depth,
@@ -221,36 +252,52 @@ def multicopy_orbit_max(b: Behavior) -> CriterionReport:
     })
 
 
-def eval_noisy_ic(b: Behavior, epsilon: float) -> CriterionReport:
-    """Per-sender noisy-channel criterion.
+def _require_normalized(b: Behavior) -> None:
+    """Refuse a table with a negative entry or with a row that sums to 1
+    only outside PROB_TOL, the checks of validate that make each row a
+    distribution.  No-signaling is not checked: the biases of a signaling
+    table are still those of its runs."""
+    lowest = float(b.table.min())
+    if lowest < 0.0:
+        raise ValueError(f"table has a negative entry {lowest!r}")
+    sums = b.table.sum(axis=1)
+    worst = int(np.abs(sums - 1.0).argmax())
+    if abs(sums[worst] - 1.0) > PROB_TOL:
+        raise ValueError(f"table row {worst} sums to {float(sums[worst])!r}, "
+                         f"not 1")
 
-    Each sender's message crosses one use of a binary symmetric channel.
-    Sender k's guess-information terms are evaluated on the run in which
-    channel k is noisy (the receiver decodes from M_k' and the other,
-    clean, messages); the communication budget on the right is the sum of
-    the realized channel informations I(M_k : M_k').  At epsilon = 0 this
-    reduces exactly to the multipartite criterion.  At epsilon = 0.5 both
-    sides vanish and the report is flagged indeterminate.
+
+def eval_noisy_ic(b: Behavior, epsilon: float) -> CriterionReport:
+    """Per-sender noisy-channel criterion, in closed form.
+
+    Each sender's message crosses one use of a binary symmetric channel
+    with flip probability epsilon; sender k's guess-information terms are
+    those of the run in which channel k is noisy (the receiver decodes
+    from M_k' and the other, clean, messages), and the budget on the right
+    is the sum of the channel informations I(M_k : M_k').  With uniform
+    inputs, s = 1 - 2 epsilon scales both biases, so every sender's terms
+    are g(s E_I) + g(s E_II) and its channel information is
+    g(s) = 1 - h(epsilon): lhs = (N-1)(g(s E_I) + g(s E_II)) against
+    rhs = (N-1) g(s).  At epsilon = 0 this is the multipartite criterion.
+    At epsilon = 0.5 both sides vanish and the report is flagged
+    indeterminate.  The table must be normalized and nonnegative
+    (_require_normalized), but need not be no-signaling.
     """
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must be in [0, 0.5], got {epsilon}")
-    channel = Channel(epsilon)
-    lhs = 0.0
-    rhs = 0.0
-    per_sender = {}
-    for k in range(1, b.parties):
-        joints = task_joints(b, channel, noisy_senders=(k,))
-        terms = sum(_multi_lhs_terms(joints, b.parties, pick=(k,)).values())
-        cap_k = mutual_information(joints[0], message_name(k),
-                                   noisy_message_name(k))
-        lhs += terms
-        rhs += cap_k
-        per_sender[f"k={k}"] = {"terms": terms, "channel_information": cap_k}
+    _require_normalized(b)
+    e_one, e_two = biases(b)
+    s = 1.0 - 2.0 * epsilon
+    terms = _guess_info(s * e_one) + _guess_info(s * e_two)
+    cap = _guess_info(s)
+    scale = b.parties - 1
+    per_sender = {f"k={k}": {"terms": terms, "channel_information": cap}
+                  for k in range(1, b.parties)}
     details: dict[str, Any] = {"epsilon": epsilon, "input_correlation": 0.0,
                                "per_sender": per_sender}
     if epsilon == 0.5:
         details["flag"] = "indeterminate-limit"
-    return _report("ic-noisy", lhs, rhs, details)
+    return _report("ic-noisy", scale * terms, scale * cap, details)
 
 
 def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,

@@ -1,4 +1,4 @@
-"""Finite joint distributions, Shannon quantities, binary symmetric channels.
+"""Finite joint distributions and Shannon quantities.
 
 All entropies are in bits.  Distributions are dense numpy arrays with one
 axis per named variable; marginalization is an axis sum, so every quantity
@@ -13,8 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-PMF_TOL = 1e-9           # pmf must sum to 1 within this
-ENTRY_CLAMP = 1e-12      # tiny negatives clamped, worse ones rejected
+# a pmf must sum to 1 within PROB_TOL; entries in [-ENTRY_CLAMP, 0) clamp
+# to 0, and lower ones are rejected
+from .behaviors import ENTRY_CLAMP, PROB_TOL
+
 NONNEG_CLAMP = 1e-12     # conditional MI values in (-1e-12, 0) clamp to 0
 
 
@@ -40,7 +42,7 @@ class JointDistribution:
             raise ValueError(f"pmf entry below -{ENTRY_CLAMP}: {p.min()}")
         p = np.where(p < 0.0, 0.0, p)
         total = float(p.sum())
-        if abs(total - 1.0) > PMF_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"pmf sums to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "names", names)
@@ -131,17 +133,3 @@ def binary_entropy(p: float) -> float:
         return 0.0
     q = 1.0 - p
     return float(-p * math.log2(p) - q * math.log2(q))
-
-
-# ---------------------------------------------------------------------------
-# channels
-
-@dataclass(frozen=True)
-class Channel:
-    """Binary symmetric channel flipping the bit with probability epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ValueError(f"bsc epsilon must be in [0, 0.5], got {self.epsilon}")

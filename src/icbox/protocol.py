@@ -17,14 +17,15 @@ subtree's message XOR at each step leaves a guess for bit position
 1 + sum_l z_l 2^(K-l).
 
 task_joints gives what the entropic criteria read: for each receiver
-choice, the run joint of the input bits, the messages (and their channel
-outputs) and the guess G_i picked by that choice, 2^(3(N-1)+1) atoms without
-a channel.  Given the input bits, (a, c, channel flips) and (M, M', G_i)
-determine each other, so every atom is one box weight p(a, c | x, i-1) times
-4^-(N-1) and the flip weights: a fixed gather of the box table, exact for any
-table.  single_copy_joint builds the full run joint (box inputs and
-outcomes, choice J, and both guesses on one sample space) by direct
-enumeration; it is kept as the test oracle for task_joints.
+choice, the run joint of the input bits, the messages and the guess G_i
+picked by that choice, 2^(3(N-1)+1) atoms.  Given the input bits, (a, c)
+and (M, G_i) determine each other, so every atom is one box weight
+p(a, c | x, i-1) times 4^-(N-1): a fixed gather of the box table, exact
+for any table.  single_copy_joint builds the full run joint (box inputs
+and outcomes, choice J, and both guesses on one sample space) by direct
+enumeration; it is kept as the test oracle for task_joints.  The
+noisy-channel criterion needs no joint: it is a closed form in the
+biases (criteria.eval_noisy_ic).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .behaviors import (PARITY, Behavior, _bitmask, correlators,
                         index_to_tuple, tuple_to_index)
-from .entropy import Channel, JointDistribution
+from .entropy import JointDistribution
 
 MAX_JOINT_VARS = 24      # dense oracle joint capped at 2^24 atoms
 
@@ -54,10 +55,6 @@ def message_name(k: int) -> str:
     return f"M{k}"
 
 
-def noisy_message_name(k: int) -> str:
-    return f"M{k}p"
-
-
 def guess_name(i: int) -> str:
     return f"G{i}"
 
@@ -66,38 +63,19 @@ def x_bit_names(parties: int) -> list[str]:
     return [x_bit_name(k, i) for k in range(1, parties) for i in (1, 2)]
 
 
-def _resolve_noisy(b: Behavior, channel: Channel | None,
-                   noisy_senders: Sequence[int] | None) -> tuple[int, ...]:
-    """The sorted senders whose messages cross the channel."""
-    senders = range(1, b.parties)
-    if channel is None:
-        if noisy_senders:
-            raise ValueError("noisy_senders given without a channel")
-        return ()
-    noisy = tuple(sorted(senders if noisy_senders is None else noisy_senders))
-    if any(k not in senders for k in noisy):
-        raise ValueError(f"noisy_senders must be senders 1..{b.parties - 1}")
-    return noisy
-
-
-def task_joint_names(parties: int, i: int,
-                     noisy: Sequence[int] = ()) -> list[str]:
+def task_joint_names(parties: int, i: int) -> list[str]:
     """Variables of the task joint for receiver choice i, in axis order."""
     return (x_bit_names(parties)
             + [message_name(k) for k in range(1, parties)]
-            + [noisy_message_name(k) for k in noisy]
             + [guess_name(i)])
 
 
 @cache
-def _task_index(n_send: int, noisy: tuple[int, ...]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(src, flip) over the atoms of a task joint, raveled from
-    [X, M, M', G]: src[v] is the flat box-table index of the run
-    (x, x_N = v, a, c) that lands on the atom under choice v, and flip the
-    index of its channel flips f, which only depends on [M, M', G].  Both
-    are shared between calls, so read-only."""
-    n_x, n_msg, n_flip = 4 ** n_send, 2 ** n_send, 2 ** len(noisy)
+def _task_index(n_send: int) -> np.ndarray:
+    """src over the atoms of a task joint, raveled from [X, M, G]: src[v]
+    is the flat box-table index of the run (x, x_N = v, a, c) that lands
+    on the atom under choice v.  Shared between calls, so read-only."""
+    n_x, n_msg = 4 ** n_send, 2 ** n_send
     x_idx = np.arange(n_x)
     first = np.zeros(n_x, dtype=np.int64)
     second = np.zeros(n_x, dtype=np.int64)
@@ -105,70 +83,43 @@ def _task_index(n_send: int, noisy: tuple[int, ...]
         first = (first << 1) | ((x_idx >> (2 * (n_send - k) - 1)) & 1)
         second = (second << 1) | ((x_idx >> (2 * (n_send - k) - 2)) & 1)
     msgs = np.arange(n_msg)
-    noisy_bits = np.zeros_like(msgs)                         # M_k, k noisy
-    for k in noisy:
-        noisy_bits = (noisy_bits << 1) | ((msgs >> (n_send - k)) & 1)
-    flips = noisy_bits[:, None] ^ np.arange(n_flip)          # [M, M']
-    # the receiver decodes from M_k' = M_k ⊕ f_k for noisy senders
-    c = (PARITY[msgs][:, None] ^ PARITY[flips])[:, :, None] ^ np.arange(2)
+    c = PARITY[msgs][:, None] ^ np.arange(2)                 # [M, G]
     a = first[:, None] ^ msgs                                # [X, M]
-    row = 2 * (first ^ second)[:, None, None, None]
-    src = (row * n_msg + a[:, :, None, None]) * 2 + c        # [X, M, M', G]
+    row = 2 * (first ^ second)[:, None, None]
+    src = (row * n_msg + a[:, :, None]) * 2 + c              # [X, M, G]
     src = np.stack([src.ravel(), src.ravel() + 2 * n_msg])
-    flip = np.broadcast_to(flips[:, :, None], c.shape).ravel()
-    for arr in (src, flip):
-        arr.setflags(write=False)
-    return src, flip
+    src.setflags(write=False)
+    return src
 
 
-def task_joints(b: Behavior, channel: Channel | None = None, *,
-                noisy_senders: Sequence[int] | None = None
-                ) -> tuple[JointDistribution, JointDistribution]:
+def task_joints(b: Behavior) -> tuple[JointDistribution, JointDistribution]:
     """Exact run joints of the input bits, messages and guess, one per
     receiver choice; joints[i-1] carries G_i.
 
-    Variables (task_joint_names): X_i^k, M_k, M_kp for the senders behind
-    the channel, G_i.  With a channel, noisy_senders selects which
-    messages pass through it (default: all of them); the guess is decoded
-    from M_kp for those senders and from M_k for the rest.
-
-    The weight of the run (X, a, c, f) under choice i is
-    4^-(N-1) p(a, c | x, x_N = i-1) times the flip weights.  This reads the
-    box table and divides by nothing, so each joint is normalized for any
-    normalized table; for a no-signaling box it equals single_copy_joint
-    conditioned on J = i-1.
+    Variables (task_joint_names): X_i^k, M_k, G_i.  The weight of the run
+    (X, a, c) under choice i is 4^-(N-1) p(a, c | x, x_N = i-1).  This
+    reads the box table and divides by nothing, so each joint is
+    normalized for any normalized table; for a no-signaling box it equals
+    single_copy_joint conditioned on J = i-1.
     """
-    noisy = _resolve_noisy(b, channel, noisy_senders)
     n_send = b.parties - 1
-    src, flip = _task_index(n_send, noisy)
-    w = b.table.ravel()[src].reshape(2, 4 ** n_send, -1)
+    w = b.table.ravel()[_task_index(n_send)]
     w *= 1.0 / 4 ** n_send
-    if noisy:
-        eps = channel.epsilon
-        flip_w = np.ones(1)
-        for _ in noisy:
-            flip_w = np.multiply.outer(flip_w, (1.0 - eps, eps)).ravel()
-        w *= flip_w[flip]
-    shape = (2,) * (3 * n_send + 1 + len(noisy))
+    shape = (2,) * (3 * n_send + 1)
     return tuple(JointDistribution(
-        tuple(task_joint_names(b.parties, i, noisy)), w[i - 1].reshape(shape))
+        tuple(task_joint_names(b.parties, i)), w[i - 1].reshape(shape))
         for i in (1, 2))
 
 
-def single_copy_joint(b: Behavior, channel: Channel | None = None, *,
-                      noisy_senders: Sequence[int] | None = None) -> JointDistribution:
+def single_copy_joint(b: Behavior) -> JointDistribution:
     """Exact joint of inputs, box data, messages, choice and guesses.
 
-    Variables: X_i^k, x_k, a_k, c_1, c_2, M_k, (M_kp for senders behind the
-    channel), J, G_1, G_2.  With a channel, noisy_senders selects which
-    messages pass through it (default: all of them); the guesses are
-    decoded from M_kp for those senders and from M_k for the rest.  Built by
+    Variables: X_i^k, x_k, a_k, c_1, c_2, M_k, J, G_1, G_2.  Built by
     enumeration and capped at MAX_JOINT_VARS variables; it is the test
     oracle for task_joints, which the criteria use.  It draws c_1 and c_2
     from p(c | a, x, x_N) given the senders' p(a | x), which is well
     defined only for a no-signaling box.
     """
-    noisy = _resolve_noisy(b, channel, noisy_senders)
     n_parties = b.parties
     senders = list(range(1, n_parties))
 
@@ -176,12 +127,11 @@ def single_copy_joint(b: Behavior, channel: Channel | None = None, *,
              + [f"x{k}" for k in senders] + [f"a{k}" for k in senders]
              + ["c1", "c2"]  # receiver outcome under x_N = 0, 1
              + [message_name(k) for k in senders]
-             + [noisy_message_name(k) for k in noisy]
              + [CHOICE, guess_name(1), guess_name(2)])
     if len(names) > MAX_JOINT_VARS:
         raise ValueError(
             f"joint would need {len(names)} binary variables; dense cap is "
-            f"{MAX_JOINT_VARS} (reduce parties or noisy senders)")
+            f"{MAX_JOINT_VARS} (reduce parties)")
 
     ns = n_parties - 1
     # [xs, x_N, as, c]: the receiver's bits are the least significant ones
@@ -189,8 +139,6 @@ def single_copy_joint(b: Behavior, channel: Channel | None = None, *,
     send = full[:, 0].sum(axis=-1)  # p(a | x), x_N-independent once validated
 
     w_x = 1.0 / 4 ** ns  # uniform input bits
-    eps = channel.epsilon if channel is not None else 0.0
-    flip_w = (1.0 - eps, eps)
 
     probs = np.zeros((2,) * len(names))
     half = 0.5  # uniform receiver choice
@@ -205,28 +153,18 @@ def single_copy_joint(b: Behavior, channel: Channel | None = None, *,
                 continue
             as_bits = index_to_tuple(as_idx, ns)
             msgs = tuple(f ^ a for f, a in zip(first, as_bits))
+            decode = reduce(lambda u, v: u ^ v, msgs, 0)
             cond = full[xs_idx, :, as_idx, :] / p_send  # [choice, c]
             for c1, c2 in itertools.product((0, 1), repeat=2):
                 w_c = cond[0, c1] * cond[1, c2]
                 if w_c == 0.0:
                     continue
-                base = w_x * p_send * w_c * half
-                for flips in itertools.product((0, 1), repeat=len(noisy)):
-                    w_f = base
-                    for f in flips:
-                        w_f *= flip_w[f]
-                    if w_f == 0.0:
-                        continue
-                    noisy_msgs = {k: msgs[k - 1] ^ f for k, f in zip(noisy, flips)}
-                    used = [noisy_msgs.get(k, msgs[k - 1]) for k in senders]
-                    decode = reduce(lambda u, v: u ^ v, used, 0)
-                    g1 = decode ^ c1
-                    g2 = decode ^ c2
-                    tail = (*(noisy_msgs[k] for k in noisy), 0, g1, g2)
-                    idx = (*xbits, *xs_bits, *as_bits, c1, c2, *msgs, *tail)
-                    probs[idx] += w_f
-                    idx_j1 = (*idx[:-3], 1, g1, g2)
-                    probs[idx_j1] += w_f
+                w = w_x * p_send * w_c * half
+                g1 = decode ^ c1
+                g2 = decode ^ c2
+                idx = (*xbits, *xs_bits, *as_bits, c1, c2, *msgs)
+                probs[(*idx, 0, g1, g2)] += w
+                probs[(*idx, 1, g1, g2)] += w
     return JointDistribution(tuple(names), probs)
 
 

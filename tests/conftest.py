@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from icbox import behaviors as bh
 from icbox.behaviors import (Behavior, all_local_deterministic, bit_tuples,
                              local_deterministic, mix, named_box)
-from icbox.entropy import Channel, JointDistribution, binary_entropy
+from icbox.criteria import CriterionReport, _report
+from icbox.entropy import (JointDistribution, binary_entropy,
+                           mutual_information)
+from icbox.protocol import (guess_name, message_name, task_joint_names,
+                            x_bit_name)
 
 _DET_CACHE: dict[int, list[Behavior]] = {}
 SAMPLED_DETS = 32   # beyond 4 parties, mix this many drawn deterministic boxes
@@ -103,6 +109,13 @@ def random_ns_box(rng: np.random.Generator, parties: int) -> Behavior:
                                 extremal_weight=w)
 
 
+def random_signaling_box(rng: np.random.Generator, parties: int) -> Behavior:
+    """Random table with every row a distribution: normalized and
+    nonnegative, almost surely signaling."""
+    table = rng.random((2 ** parties, 2 ** parties))
+    return Behavior(parties, table / table.sum(axis=1, keepdims=True))
+
+
 def oracle_orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
     """sum_x weights[x, j] C'(x) of every relabeled variant of b, computed
     from its relabeled table, shape (N! 8^N, J), rows in the order
@@ -138,6 +151,17 @@ def pmf_items(d: JointDistribution
             yield it.multi_index, p
 
 
+@dataclass(frozen=True)
+class Channel:
+    """Binary symmetric channel flipping the bit with probability epsilon."""
+
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.epsilon <= 0.5:
+            raise ValueError(f"bsc epsilon must be in [0, 0.5], got {self.epsilon}")
+
+
 def transition(ch: Channel) -> np.ndarray:
     """p(output | input) of a binary symmetric channel, [input, output]."""
     e = ch.epsilon
@@ -166,6 +190,96 @@ def apply_channel(d: JointDistribution, var: str, ch: Channel,
 def capacity(ch: Channel) -> float:
     """Capacity of the binary symmetric channel, 1 - h(epsilon) bits."""
     return 1.0 - binary_entropy(ch.epsilon)
+
+
+def noisy_message_name(k: int) -> str:
+    """M_k', sender k's message after the channel."""
+    return f"M{k}p"
+
+
+@cache
+def _noisy_task_index(n_send: int, noisy: tuple[int, ...]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(src, flip) over the atoms of a noisy task joint, raveled from
+    [X, M, M', G]: src[v] is the flat box-table index of the run
+    (x, x_N = v, a, c) that lands on the atom under choice v, and flip the
+    index of its channel flips f, which only depends on [M, M', G]."""
+    n_x, n_msg, n_flip = 4 ** n_send, 2 ** n_send, 2 ** len(noisy)
+    x_idx = np.arange(n_x)
+    first = np.zeros(n_x, dtype=np.int64)
+    second = np.zeros(n_x, dtype=np.int64)
+    for k in range(n_send):  # X_1^k, X_2^k are bits 2(ns-k)-1, 2(ns-k)-2
+        first = (first << 1) | ((x_idx >> (2 * (n_send - k) - 1)) & 1)
+        second = (second << 1) | ((x_idx >> (2 * (n_send - k) - 2)) & 1)
+    msgs = np.arange(n_msg)
+    noisy_bits = np.zeros_like(msgs)                         # M_k, k noisy
+    for k in noisy:
+        noisy_bits = (noisy_bits << 1) | ((msgs >> (n_send - k)) & 1)
+    flips = noisy_bits[:, None] ^ np.arange(n_flip)          # [M, M']
+    # the receiver decodes from M_k' = M_k ⊕ f_k for noisy senders
+    c = (bh.PARITY[msgs][:, None] ^ bh.PARITY[flips])[:, :, None] ^ np.arange(2)
+    a = first[:, None] ^ msgs                                # [X, M]
+    row = 2 * (first ^ second)[:, None, None, None]
+    src = (row * n_msg + a[:, :, None, None]) * 2 + c        # [X, M, M', G]
+    src = np.stack([src.ravel(), src.ravel() + 2 * n_msg])
+    flip = np.broadcast_to(flips[:, :, None], c.shape).ravel()
+    return src, flip
+
+
+def noisy_task_joints(b: Behavior, channel: Channel,
+                      noisy_senders: Sequence[int] | None = None
+                      ) -> tuple[JointDistribution, JointDistribution]:
+    """protocol.task_joints with the messages of noisy_senders (default:
+    all senders) sent through the channel: the joints gain M_k' after the
+    messages, and the guess is decoded from M_k' for those senders and
+    from M_k for the rest.  The weight of the run (X, a, c, f) under
+    choice i is 4^-(N-1) p(a, c | x, x_N = i-1) times the flip weights, a
+    gather of the box table exact for any table.  The entropic oracle of
+    the closed-form ic-noisy, 2^(3(N-1)+2) atoms per joint for one noisy
+    sender."""
+    n_send = b.parties - 1
+    noisy = tuple(sorted(range(1, b.parties) if noisy_senders is None
+                         else noisy_senders))
+    src, flip = _noisy_task_index(n_send, noisy)
+    w = b.table.ravel()[src].reshape(2, 4 ** n_send, -1)
+    w *= 1.0 / 4 ** n_send
+    flip_w = np.ones(1)
+    for _ in noisy:
+        flip_w = np.multiply.outer(flip_w, (1.0 - channel.epsilon,
+                                            channel.epsilon)).ravel()
+    w *= flip_w[flip]
+    shape = (2,) * (3 * n_send + 1 + len(noisy))
+    return tuple(JointDistribution(
+        tuple(task_joint_names(b.parties, i)[:-1]
+              + [noisy_message_name(k) for k in noisy] + [guess_name(i)]),
+        w[i - 1].reshape(shape)) for i in (1, 2))
+
+
+def noisy_ic_oracle(b: Behavior, epsilon: float) -> CriterionReport:
+    """ic-noisy read off the entropies of the noisy task joints: sender
+    k's terms are I(X_i^k : X_i^(others), G_i) on the run in which only
+    channel k is noisy, its channel information is I(M_k : M_k')."""
+    channel = Channel(epsilon)
+    senders = range(1, b.parties)
+    lhs = rhs = 0.0
+    per_sender = {}
+    for k in senders:
+        joints = noisy_task_joints(b, channel, (k,))
+        terms = 0.0
+        for i in (1, 2):
+            others = tuple(x_bit_name(j, i) for j in senders if j != k)
+            terms += mutual_information(joints[i - 1], x_bit_name(k, i),
+                                        others + (guess_name(i),))
+        cap = mutual_information(joints[0], message_name(k),
+                                 noisy_message_name(k))
+        lhs += terms
+        rhs += cap
+        per_sender[f"k={k}"] = {"terms": terms, "channel_information": cap}
+    details = {"epsilon": epsilon, "input_correlation": 0.0,
+               "per_sender": per_sender}
+    if epsilon == 0.5:
+        details["flag"] = "indeterminate-limit"
+    return _report("ic-noisy", lhs, rhs, details)
 
 
 def sequential_load_catalog(path) -> list[bh.CatalogEntry]:

@@ -12,15 +12,14 @@ import time
 
 import numpy as np
 
-from conftest import apply_channel, random_local_mixture
+from conftest import Channel, apply_channel, random_local_mixture
 from icbox.behaviors import (CatalogEntry, all_local_deterministic,
                              load_catalog, named_box)
 from icbox.cli import _bundled_catalog_path
 from icbox.criteria import (VIOLATION_TOL, eval_multicopy, eval_noisy_ic,
                             evaluate)
-from icbox.entropy import (Channel, JointDistribution,
-                           cond_mutual_information, entropy,
-                           mutual_information)
+from icbox.entropy import (JointDistribution, cond_mutual_information,
+                           entropy, mutual_information)
 from icbox.protocol import (concat_success_closed, concat_success_simulated,
                             single_copy_joint)
 from icbox.scan import (REFERENCE_VIOLATORS, bisect_threshold, boundary,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import (local_deterministic_boxes, make_ghz_style,
                       make_svetlichny, oracle_orbit_forms,
                       random_local_mixture, random_ns_box)
-from icbox.behaviors import (flip_inputs, mix, named_box, permute_parties,
-                             relabel_outputs)
+from icbox import criteria
+from icbox.behaviors import (Behavior, flip_inputs, mix, named_box,
+                             permute_parties, relabel_outputs)
 from icbox.criteria import (_UFFINK3_WEIGHTS, CRITERION_IDS, VIOLATION_TOL,
                             eval_bipartite_ic,
                             eval_multicopy, eval_multipartite_ic,
@@ -316,6 +317,58 @@ def test_noisy_monotone_in_bias():
     assert not low.violated
     assert high.violated
     assert high.margin > low.margin
+
+
+def _negative_entry_box() -> Behavior:
+    """The PR box with one row moved to [0.6, -0.1, 0, 0.5]: still summing
+    to 1, but with an entry below -ENTRY_CLAMP."""
+    table = named_box("pr").table.copy()
+    table[0] = (0.6, -0.1, 0.0, 0.5)
+    return Behavior(2, table)
+
+
+def test_noisy_and_multi_refuse_unnormalized_tables():
+    doubled = Behavior(3, 2 * named_box("box45").table)
+    with pytest.raises(ValueError, match="sums to 2.0"):
+        evaluate("ic-noisy", doubled, epsilon=0.1)
+    with pytest.raises(ValueError, match="sums to 2.0"):
+        evaluate("ic-multi", doubled)
+    negative = _negative_entry_box()
+    with pytest.raises(ValueError, match="negative entry"):
+        evaluate("ic-noisy", negative, epsilon=0.1)
+    with pytest.raises(ValueError, match="below"):
+        evaluate("ic-multi", negative)
+    # one row off by 2 PROB_TOL is refused, as validate refuses it
+    table = named_box("box45").table.copy()
+    table[3, 0] += 2e-9
+    with pytest.raises(ValueError, match="row 3"):
+        evaluate("ic-noisy", Behavior(3, table), epsilon=0.1)
+    table[3, 0] -= 1.5e-9    # off by PROB_TOL / 2: scored
+    assert evaluate("ic-noisy", Behavior(3, table), epsilon=0.1).violated
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+def test_noisy_reads_no_joint_and_no_entropy(parties, monkeypatch):
+    """ic-noisy is a closed form in the biases: evaluate never reaches a
+    task joint or an entropy through criteria's bindings."""
+    calls = dict.fromkeys(("task_joints", "entropy", "mutual_information"), 0)
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(criteria, name,
+                            counted(name, getattr(criteria, name)))
+    b = mix([(0.6, named_box("box45", parties=parties)),
+             (0.4, named_box("white", parties=parties))])
+    for eps in (0.0, 0.1, 0.5):
+        evaluate("ic-noisy", b, epsilon=eps)
+    assert calls == dict.fromkeys(calls, 0)
+    evaluate("ic-multi", b)   # the counters do see the entropic criteria
+    assert calls["task_joints"] == 1 and calls["mutual_information"] > 0
 
 
 def test_dispatcher():

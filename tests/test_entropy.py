@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_channel, capacity, pmf_items, transition
+from conftest import Channel, apply_channel, capacity, pmf_items, transition
 import icbox.entropy as en
 
 
@@ -99,21 +99,21 @@ def test_channel_conditional_independence_seeded():
     for _ in range(300):
         p = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
         d = en.JointDistribution(("M", "V", "W"), p)
-        ch = en.Channel(float(rng.uniform(0.0, 0.5)))
+        ch = Channel(float(rng.uniform(0.0, 0.5)))
         noisy = apply_channel(d, "M", ch, "Mp")
         assert en.cond_mutual_information(noisy, "Mp", ("V", "W"), "M") <= 1e-12
 
 
 def test_apply_channel_flip_probability():
     d = en.JointDistribution(("M",), np.array([0.3, 0.7]))
-    noisy = apply_channel(d, "M", en.Channel(0.2), "Mp")
+    noisy = apply_channel(d, "M", Channel(0.2), "Mp")
     flip = sum(p for vals, p in pmf_items(noisy) if vals[0] != vals[1])
     assert flip == pytest.approx(0.2, abs=1e-15)
     with pytest.raises(ValueError):
-        apply_channel(noisy, "M", en.Channel(0.2), "Mp")
+        apply_channel(noisy, "M", Channel(0.2), "Mp")
     tri = en.JointDistribution(("T",), np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ValueError):
-        apply_channel(tri, "T", en.Channel(0.1), "Tp")
+        apply_channel(tri, "T", Channel(0.1), "Tp")
 
 
 def test_binary_entropy_values():
@@ -129,17 +129,17 @@ def test_binary_entropy_values():
 
 
 def test_capacity_values():
-    assert capacity(en.Channel(0.0)) == 1.0
-    assert capacity(en.Channel(0.5)) == 0.0
-    assert capacity(en.Channel(0.11)) == pytest.approx(
+    assert capacity(Channel(0.0)) == 1.0
+    assert capacity(Channel(0.5)) == 0.0
+    assert capacity(Channel(0.11)) == pytest.approx(
         0.500084041835472, abs=1e-12)
 
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        en.Channel(0.6)
+        Channel(0.6)
     with pytest.raises(ValueError):
-        en.Channel(-0.1)
-    t = transition(en.Channel(0.25))
+        Channel(-0.1)
+    t = transition(Channel(0.25))
     assert np.allclose(t.sum(axis=1), 1.0)
     assert t[0, 1] == 0.25

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_svetlichny, random_ns_box
+from conftest import (Channel, make_svetlichny, noisy_task_joints,
+                      random_ns_box)
 from icbox.behaviors import PARITY, mix, named_box, tuple_to_index
-from icbox.entropy import (Channel, cond_mutual_information, marginal,
+from icbox.entropy import (cond_mutual_information, marginal,
                            mutual_information)
 from icbox.protocol import (MAX_JOINT_VARS, biases,
                             concat_success_closed, concat_success_simulated,
-                            guess_name, message_name, noisy_message_name,
-                            single_copy_joint, success_profile,
-                            x_bit_name, x_bit_names)
+                            guess_name, message_name, single_copy_joint,
+                            success_profile, x_bit_name, x_bit_names)
 from icbox.scan import default_slice, slice_point
 
 
@@ -21,7 +21,6 @@ def test_name_helpers():
     assert x_bit_name(2, 1) == "X1^2"
     assert x_bit_names(3) == ["X1^1", "X2^1", "X1^2", "X2^2"]
     assert message_name(2) == "M2"
-    assert noisy_message_name(2) == "M2p"
     assert guess_name(1) == "G1"
 
 
@@ -104,25 +103,19 @@ def test_success_profile_matches_dense_oracle(parties, seed):
 
 
 def test_channel_on_messages():
+    """The noisy task joints of the ic-noisy oracle: the channel flips M1
+    alone, and the guess is decoded from M1p."""
     eps = 0.2
-    joint = single_copy_joint(named_box("pr"), Channel(eps))
+    joint = noisy_task_joints(named_box("pr"), Channel(eps))[0]
     m = marginal(joint, ("M1", "M1p"))
     flip = m.probs[0, 1] + m.probs[1, 0]
     assert flip == pytest.approx(eps, abs=1e-12)
     # the channel acts on M1 alone
-    assert cond_mutual_information(joint, "M1p", ("X1^1", "c1"), "M1") <= 1e-12
-    # decode now reads M1p
+    assert cond_mutual_information(joint, "M1p", ("X1^1", "X2^1"),
+                                   "M1") <= 1e-12
     hit = marginal(joint, ("X1^1", "G1")).probs
     assert hit[0, 0] + hit[1, 1] == pytest.approx(1.0 - eps, abs=1e-12)
-
-
-def test_noisy_senders_validation():
-    with pytest.raises(ValueError):
-        single_copy_joint(named_box("pr"), noisy_senders=(1,))
-    channel = Channel(0.1)
-    with pytest.raises(ValueError):
-        single_copy_joint(named_box("box45"), channel, noisy_senders=(3,))
-    joint = single_copy_joint(named_box("box45"), channel, noisy_senders=(2,))
+    joint = noisy_task_joints(named_box("box45"), Channel(0.1), (2,))[1]
     assert "M2p" in joint.names and "M1p" not in joint.names
 
 
