@@ -225,52 +225,33 @@ def validate(b: Behavior, atol: float = PROB_TOL) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # named boxes
 
-def _parity_condition_box(parties: int, cond) -> Behavior:
-    """Uniform box on the set {a : parity(a) == cond(x)}, weight 2^-(N-1)."""
-    n = parties
-    want = np.array([cond(x) for x in bit_tuples(n)])
-    hit = PARITY[None, :2**n] == want[:, None]
-    return Behavior(n, np.where(hit, 1.0 / 2 ** (n - 1), 0.0))
-
-
-def named_box(name: str, **params) -> Behavior:
+def named_box(name: str, *, parties: int | None = None,
+              bias: float | None = None) -> Behavior:
     """Construct a built-in behavior.
 
-    pr                    bipartite box with a1 ⊕ a2 = x1 x2
     box45                 N-party box with ⊕_k a_k = (x1 ⊕ ... ⊕ x_{N-1}) x_N
+    pr                    box45 at 2 parties: a1 ⊕ a2 = x1 x2
     white                 uniform noise, 2^-N everywhere
     deterministic-zero    all parties output 0
     isotropic             E * box45(N) + (1-E) * white(N), E in [0, 1]
 
-    params: parties (default 2 for pr, else 3), bias (isotropic only).
+    parties defaults to 2 for pr, else 3; bias is the E of isotropic.
     """
-    parties = params.pop("parties", None)
-    bias = params.pop("bias", None)
-    if params:
-        raise ValueError(f"unknown named_box parameters {sorted(params)}")
-
     if name == "pr":
         if parties not in (None, 2):
             raise ValueError("pr box is bipartite; parties must be 2")
-        return _parity_condition_box(2, lambda x: x[0] & x[1])
-
-    if parties is None:
-        parties = 3
-    if not 2 <= parties <= MAX_PARTIES:
-        raise ValueError(f"parties must be in [2, {MAX_PARTIES}], got {parties}")
-
+        name, parties = "box45", 2
+    n = 3 if parties is None else parties
+    if not 2 <= n <= MAX_PARTIES:
+        raise ValueError(f"parties must be in [2, {MAX_PARTIES}], got {n}")
     if name == "box45":
-        def cond(x: Bits) -> int:
-            s = 0
-            for xk in x[:-1]:
-                s ^= xk & x[-1]
-            return s
-        return _parity_condition_box(parties, cond)
+        # the receiver's input x_N is the low bit of the joint input x
+        x = np.arange(2**n)[:, None]
+        hit = PARITY[:2**n] == PARITY[x >> 1] & x & 1
+        return Behavior(n, np.where(hit, 2.0 ** (1 - n), 0.0))
     if name == "white":
-        n = parties
         return Behavior(n, np.full((2**n, 2**n), 1.0 / 2**n))
     if name == "deterministic-zero":
-        n = parties
         t = np.zeros((2**n, 2**n))
         t[:, 0] = 1.0
         return Behavior(n, t)
@@ -279,8 +260,8 @@ def named_box(name: str, **params) -> Behavior:
             raise ValueError("isotropic box needs bias=E")
         if not 0.0 <= bias <= 1.0:
             raise ValueError(f"isotropic bias must be in [0, 1], got {bias}")
-        return mix([(bias, named_box("box45", parties=parties)),
-                    (1.0 - bias, named_box("white", parties=parties))])
+        return mix([(bias, named_box("box45", parties=n)),
+                    (1.0 - bias, named_box("white", parties=n))])
     raise ValueError(f"unknown box name {name!r}")
 
 

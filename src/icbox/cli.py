@@ -28,6 +28,16 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+# builtin URI name -> (named_box name, the URI arguments it takes: E a
+# bias, N a party count; default party count)
+_BUILTINS = {
+    "pr": ("pr", "", 2), "box45": ("box45", "N", 3),
+    "isotropic": ("isotropic", "EN", 3), "white": ("white", "N", None),
+    "detzero": ("deterministic-zero", "N", None)}
+_AT_MOST = ("no URI arguments", "at most one URI argument",
+            "at most two URI arguments")
+
+
 def parse_box_uri(uri: str, parties: int | None = None, *,
                   check: bool = True) -> Behavior:
     """Resolve a box URI; an explicit --parties must agree with any count
@@ -46,45 +56,29 @@ def parse_box_uri(uri: str, parties: int | None = None, *,
     if not uri.startswith("builtin:"):
         raise ValueError(f"box URI must start with builtin: or file:, "
                          f"got {uri!r}")
-    parts = uri[len("builtin:"):].split(":")
-    name, args = parts[0], parts[1:]
-
-    def pick_parties(default: int | None, embedded: str | None) -> int:
-        n = int(embedded) if embedded is not None else None
-        if n is not None and parties is not None and n != parties:
-            raise ValueError(f"--parties {parties} conflicts with URI "
-                             f"party count {n}")
-        chosen = n if n is not None else (parties if parties is not None
-                                          else default)
-        if chosen is None:
-            raise ValueError(f"builtin:{name} needs a party count "
-                             f"(URI suffix or --parties)")
-        return chosen
-
-    if name == "pr":
-        if args:
-            raise ValueError("builtin:pr takes no URI arguments")
-        if parties not in (None, 2):
-            raise ValueError("builtin:pr is a 2-party box")
-        return named_box("pr")
-    if name == "box45":
-        if len(args) > 1:
-            raise ValueError("builtin:box45 takes at most one URI argument")
-        n = pick_parties(3, args[0] if args else None)
-        return named_box("box45", parties=n)
-    if name in ("white", "detzero"):
-        if len(args) > 1:
-            raise ValueError(f"builtin:{name} takes at most one URI argument")
-        n = pick_parties(None, args[0] if args else None)
-        real = "white" if name == "white" else "deterministic-zero"
-        return named_box(real, parties=n)
-    if name == "isotropic":
-        if not args:
-            raise ValueError("builtin:isotropic needs :<E>[:<N>]")
-        bias = float(args[0])
-        n = pick_parties(3, args[1] if len(args) > 1 else None)
-        return named_box("isotropic", parties=n, bias=bias)
-    raise ValueError(f"unknown builtin box {name!r}")
+    name, *args = uri[len("builtin:"):].split(":")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin box {name!r}")
+    box, takes, default = _BUILTINS[name]
+    if len(args) > len(takes):
+        raise ValueError(f"builtin:{name} takes {_AT_MOST[len(takes)]}")
+    biased = takes.startswith("E")
+    if biased and not args:
+        raise ValueError(f"builtin:{name} needs :<E>[:<N>]")
+    bias = float(args[0]) if biased else None
+    if len(args) > biased:   # a party count ends the URI
+        n = int(args[-1])
+        if parties not in (None, n):
+            raise ValueError(f"--parties {parties} conflicts with URI party "
+                             f"count {n}")
+        parties = n
+    elif "N" not in takes and parties not in (None, default):
+        raise ValueError(f"builtin:{name} is a {default}-party box")
+    if parties is None and default is None:
+        raise ValueError(f"builtin:{name} needs a party count "
+                         f"(URI suffix or --parties)")
+    return named_box(box, parties=default if parties is None else parties,
+                     bias=bias)
 
 
 def _bundled_catalog_path() -> str:

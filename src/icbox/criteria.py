@@ -69,13 +69,11 @@ _BITS = (1, 2)  # every sender holds two input bits
 
 def eval_bipartite_ic(joints: Sequence[JointDistribution]
                       ) -> CriterionReport:
-    """Sum_i I(X_i : G_i) against the message entropy H(M); joints[i-1]
-    carries G_i."""
-    terms = [mutual_information(joints[i - 1], x_bit_name(1, i),
-                                guess_name(i)) for i in _BITS]
-    rhs = entropy(joints[0], message_name(1))
-    return _report("ic-bipartite", sum(terms), rhs,
-                   {"terms": terms})
+    """ic-multi at two parties: Sum_i I(X_i : G_i) against the message
+    entropy H(M); joints[i-1] carries G_i.  terms lists i = 1, 2."""
+    terms = list(_multi_lhs_terms(joints, 2).values())
+    return _report("ic-bipartite", sum(terms),
+                   entropy(joints[0], message_name(1)), {"terms": terms})
 
 
 def eval_stronger_bipartite(joints: Sequence[JointDistribution]
@@ -303,10 +301,12 @@ def eval_noisy_ic(b: Behavior, epsilon: float) -> CriterionReport:
 def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
              epsilon: float | None = None) -> CriterionReport:
     """Dispatch a criterion id against a behavior, building the task joints
-    when the criterion needs them."""
+    when the criterion needs them.  Every criterion first refuses a table
+    that _require_normalized refuses."""
     if criterion_id not in CRITERION_IDS:
         raise ValueError(f"unknown criterion {criterion_id!r}; "
                          f"known: {', '.join(CRITERION_IDS)}")
+    _require_normalized(b)
     if criterion_id in ("ic-bipartite", "ic-bipartite-strong", "ic-multi"):
         if criterion_id != "ic-multi" and b.parties != 2:
             raise ValueError(f"{criterion_id} needs a 2-party behavior, "

@@ -102,10 +102,9 @@ def qubit_box(state: np.ndarray, directions: np.ndarray) -> Behavior:
 def random_ns_box(rng: np.random.Generator, parties: int) -> Behavior:
     """Random no-signaling box: local mixture blended with a random weight on
     the parity-extremal box for the scenario."""
-    extremal = named_box("pr") if parties == 2 else named_box(
-        "box45", parties=parties)
     w = float(rng.uniform(0.0, 1.0))
-    return random_local_mixture(rng, parties, extremal=extremal,
+    return random_local_mixture(rng, parties,
+                                extremal=named_box("box45", parties=parties),
                                 extremal_weight=w)
 
 

@@ -45,14 +45,23 @@ def test_pr_table():
     for x, a, p in pr.entries():
         want = 0.5 if (a[0] ^ a[1]) == (x[0] & x[1]) else 0.0
         assert p == want
+    assert np.array_equal(pr.table, bh.named_box("box45", parties=2).table)
+    with pytest.raises(ValueError, match="bipartite"):
+        bh.named_box("pr", parties=3)
+    with pytest.raises(TypeError):
+        bh.named_box("pr", size=2)   # parties and bias are the only keywords
 
 
 def test_box45_table():
-    b = bh.named_box("box45", parties=3)
-    for x, a, p in b.entries():
-        cond = (x[0] ^ x[1]) & x[2]
-        want = 0.25 if (a[0] ^ a[1] ^ a[2]) == cond else 0.0
-        assert p == want
+    # ⊕_k a_k = (x1 ⊕ ... ⊕ x_{N-1}) x_N, checked input by input
+    for n in range(2, 7):
+        b = bh.named_box("box45", parties=n)
+        for x, a, p in b.entries():
+            cond = 0
+            for xk in x[:-1]:
+                cond ^= xk & x[-1]
+            want = 2.0 ** (1 - n) if sum(a) % 2 == cond else 0.0
+            assert p == want
 
 
 def test_white_and_detzero_tables():

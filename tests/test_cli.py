@@ -73,6 +73,38 @@ def test_box_uri_party_conflicts(capsys):
     assert code == 2
     code, _, err = run(capsys, "protocol", "--box", "builtin:white")
     assert code == 2 and "party count" in err
+    # a trailing URI argument is refused, not dropped
+    code, out, err = run(capsys, "protocol", "--box",
+                         "builtin:isotropic:0.5:3:4")
+    assert (code, out) == (2, "")
+    assert err == "error: builtin:isotropic takes at most two URI arguments\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("protocol", "--box", "builtin:pr:2"),
+     "builtin:pr takes no URI arguments"),
+    (("protocol", "--box", "builtin:box45:3:4"),
+     "builtin:box45 takes at most one URI argument"),
+    (("protocol", "--box", "builtin:white:3:4"),
+     "builtin:white takes at most one URI argument"),
+    (("protocol", "--box", "builtin:isotropic"),
+     "builtin:isotropic needs :<E>[:<N>]"),
+    (("protocol", "--box", "builtin:nosuch"),
+     "unknown builtin box 'nosuch'"),
+    (("protocol", "--box", "nosuch:x"),
+     "box URI must start with builtin: or file:, got 'nosuch:x'"),
+    (("protocol", "--box", "file:{path}", "--parties", "4"),
+     "--parties 4 but file has 3"),
+    (("eval", "--box", "builtin:box45", "--criterion", "ic-multi",
+      "--criterion", "ic-multicopy"),
+     "exactly one --criterion expected here"),
+])
+def test_box_uri_and_criterion_errors(tmp_path, capsys, argv, message):
+    path = tmp_path / "box45.json"
+    save_behavior(named_box("box45", parties=3), path)
+    argv = [arg.format(path=path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_protocol_lines(capsys):
@@ -175,6 +207,36 @@ def test_scan_csv(tmp_path, capsys):
                      "--criterion", "ic-multicopy", "--out", str(path),
                      "--fail-on-violation")
     assert code == 1
+
+
+def test_scan_slice_of_generator_files(tmp_path, capsys):
+    uris = []
+    for name in ("box45", "deterministic-zero", "white"):
+        path = tmp_path / f"{name}.json"
+        save_behavior(named_box(name, parties=3), path)
+        uris.append(f"file:{path}")
+    flags = ("scan", "--grid-step", "0.2", "--criterion", "ic-multi",
+             "--criterion", "ic-multicopy")
+    code, default, _ = run(capsys, *flags, "--slice", "default")
+    assert code == 0 and len(default.splitlines()) == 43
+    code, out, err = run(capsys, *flags, "--slice", ",".join(uris))
+    assert (code, out, err) == (0, default, "")
+
+    code, out, err = run(capsys, "scan", "--slice", ",".join(uris[:2]))
+    assert (code, out) == (2, "")
+    assert err == ("error: --slice must be 'default' or three "
+                   "comma-separated box URIs\n")
+
+    # the receiver copies the first sender's input: a3 = x1
+    path = tmp_path / "signaling.json"
+    path.write_text(json.dumps({"format": "nsbox-v1", "parties": 3, "table": [
+        {"x": [x1, x2, x3], "a": [0, 0, x1], "p": 1.0}
+        for x1 in (0, 1) for x2 in (0, 1) for x3 in (0, 1)]}))
+    code, out, err = run(capsys, "scan", "--slice",
+                         ",".join([uris[0], f"file:{path}", uris[2]]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: file:{path} is not a valid box:\n")
+    assert "no-signaling" in err
 
 
 def test_boundary_csv(capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (local_deterministic_boxes, make_ghz_style,
                       make_svetlichny, oracle_orbit_forms,
-                      random_local_mixture, random_ns_box)
+                      random_local_mixture, random_ns_box,
+                      random_signaling_box)
 from icbox import criteria
 from icbox.behaviors import (Behavior, flip_inputs, mix, named_box,
                              permute_parties, relabel_outputs)
@@ -59,6 +60,14 @@ def test_bipartite_frozen_values():
 
     rep = evaluate("ic-bipartite", named_box("white", parties=2))
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+
+    # ic-bipartite is ic-multi at two parties, signaling boxes included
+    rng = np.random.default_rng(27)
+    for make in (random_ns_box, random_signaling_box) * 10:
+        b = make(rng, 2)
+        bip, multi = evaluate("ic-bipartite", b), evaluate("ic-multi", b)
+        assert (bip.lhs, bip.rhs) == (multi.lhs, multi.rhs)
+        assert bip.details["terms"] == list(multi.details["terms"].values())
 
 
 def test_stronger_bipartite():
@@ -336,8 +345,16 @@ def test_noisy_and_multi_refuse_unnormalized_tables():
     negative = _negative_entry_box()
     with pytest.raises(ValueError, match="negative entry"):
         evaluate("ic-noisy", negative, epsilon=0.1)
-    with pytest.raises(ValueError, match="below"):
+    with pytest.raises(ValueError, match="negative entry"):
         evaluate("ic-multi", negative)
+    # rows that sum to 1.1 and 0.9 are refused by every criterion
+    for parties in (2, 3):
+        table = named_box("box45", parties=parties).table.copy()
+        table[0] *= 1.1
+        table[2] *= 0.9
+        for cid in CRITERION_IDS:
+            with pytest.raises(ValueError, match="row 0 sums to 1.1"):
+                evaluate(cid, Behavior(parties, table), epsilon=0.0)
     # one row off by 2 PROB_TOL is refused, as validate refuses it
     table = named_box("box45").table.copy()
     table[3, 0] += 2e-9
