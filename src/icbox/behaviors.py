@@ -105,6 +105,16 @@ class Behavior:
                 yield index_to_tuple(xi, n), index_to_tuple(ai, n), float(self.table[xi, ai])
 
 
+def _wrap(n: int, table: np.ndarray) -> Behavior:
+    """Behavior of a read-only (2^N, 2^N) float table, 2 <= N <= 6, that
+    has no NaN and that Behavior's clamp leaves unchanged, shared and
+    not copied."""
+    b = object.__new__(Behavior)
+    object.__setattr__(b, "parties", n)
+    object.__setattr__(b, "table", table)
+    return b
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -154,15 +164,40 @@ def _outside_axes(n: int) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]],
     return tuple(out)
 
 
+@functools.cache
+def _signaling_weights(n: int) -> np.ndarray:
+    """2^(1-N) at the flat index of every (α, β) of a 2^N x 2^N
+    Walsh–Hadamard spectrum with α ⊄ β, 0 elsewhere.  Shared, so
+    read-only."""
+    masks = np.arange(2 ** n)
+    outside = (masks[:, None] & ~masks[None, :]) != 0
+    w = np.where(outside, 2.0 ** (1 - n), 0.0).ravel()
+    w.setflags(write=False)
+    return w
+
+
 def _validate_stack(t: np.ndarray, atol: float = PROB_TOL
                     ) -> list[ValidationReport]:
     """ValidationReport of every table in the (E, 2^N, 2^N) stack t.
 
     Each check runs once over the whole stack; the violation text is built
-    only for the entries that fail.  No-signaling is checked for every
-    nonempty proper subset S of parties: the marginal on S's outcomes must
-    not depend on the inputs outside S.  The reported magnitude is the
-    largest spread of a marginal entry across the outside inputs.
+    only for the entries that fail.  No-signaling holds for a nonempty
+    proper subset S of parties when the marginal on S's outcomes does not
+    depend on the inputs outside S; the reported magnitude is the largest
+    spread of a marginal entry across the outside inputs.
+
+    Most tables skip the subset loop.  Let F = H T H, with
+    H[x, α] = (-1)^|α & x|, so T = 4^-N H F H.  Summing T over the
+    outcomes outside S keeps the β ⊆ S part of F, times 2^(N-|S|), and the
+    terms that vary with an input outside S have α ⊄ S, hence α ⊄ β.  So
+    each marginal entry is a constant plus a remainder of size at most
+    2^(-N-|S|) Σ_{α ⊄ β} |F[α, β]|, and every spread, at most twice that,
+    is at most 2^(-N) Σ_{α ⊄ β} |F[α, β]| (the sum is 0 exactly when T is
+    no-signaling).  A nonnegative, normalized table with
+    2^(1-N) Σ_{α ⊄ β} |F[α, β]| <= atol/2, so with every spread at most
+    atol/4, is valid; the rest of atol covers rounding, at most about
+    1e-11 in the bound at N = 6.  Every other table runs the subset loop,
+    so each report, message and magnitude is the loop's.
     """
     e, size, _ = t.shape
     n = size.bit_length() - 1
@@ -172,19 +207,30 @@ def _validate_stack(t: np.ndarray, atol: float = PROB_TOL
     row_sums = t.sum(axis=2)
     off = np.abs(row_sums - 1.0)
     worst_off = off.max(axis=1)
+    # only these tables are finite, so only they enter the spectrum
+    sound = np.flatnonzero((lowest >= -ENTRY_CLAMP) & (worst_off <= atol))
+    loop = np.ones(e, dtype=bool)
+    if sound.size:
+        h = _walsh_hadamard(n)
+        spectrum = h @ (t if sound.size == e else t[sound]) @ h
+        bound = np.abs(spectrum).reshape(sound.size, -1) @ _signaling_weights(n)
+        loop[sound[bound <= atol / 2]] = False
+    reports = [ValidationReport(n)] * e
+    rest = np.flatnonzero(loop)
+    if not rest.size:
+        return reports
     # tensor view: axis 0 the entry, then the inputs, then the outcomes
-    tens = t.reshape((e,) + (2,) * (2 * n))
+    tens = t[rest].reshape((rest.size,) + (2,) * (2 * n))
     spreads = []
     for _, outcomes, inputs in _outside_axes(n):
         marg = tens.sum(axis=outcomes)   # marginal of S's outcomes
         spreads.append(marg.max(axis=inputs) - marg.min(axis=inputs))
-    worst_spread = np.concatenate([s.reshape(e, -1) for s in spreads],
+    worst_spread = np.concatenate([s.reshape(rest.size, -1) for s in spreads],
                                   axis=1).max(axis=1)
-    failing = ((lowest < -ENTRY_CLAMP) | (worst_off > atol)
+    failing = ((lowest[rest] < -ENTRY_CLAMP) | (worst_off[rest] > atol)
                | (worst_spread > atol))
-
-    reports = [ValidationReport(n)] * e
-    for i in np.flatnonzero(failing).tolist():
+    for j in np.flatnonzero(failing).tolist():
+        i = int(rest[j])
         found: list[ConstraintViolation] = []
         if lowest[i] < -ENTRY_CLAMP:
             xi, ai = divmod(int(np.argmin(t[i])), size)
@@ -201,7 +247,7 @@ def _validate_stack(t: np.ndarray, atol: float = PROB_TOL
                 float(worst_off[i]),
             ))
         for (names, _, _), spread in zip(_outside_axes(n), spreads):
-            spread = spread[i]
+            spread = spread[j]
             worst = float(spread.max())
             if worst > atol:
                 loc = np.unravel_index(int(np.argmax(spread)), spread.shape)
@@ -436,11 +482,35 @@ def orbit_forms(b: Behavior, weights: np.ndarray) -> np.ndarray:
     """
     n = b.parties
     size = 2 ** n
-    moved = _permuted_bits(n)
-    d = correlators(b)[moved[:, :, None] ^ moved[:, None, :]]
-    wh = weights[:, :, None] * _walsh_hadamard(n)[:, None, :]
-    forms = d.reshape(-1, size) @ wh.reshape(size, -1)
-    return forms.reshape(-1, weights.shape[1], size)
+    w = np.asarray(weights, dtype=float)
+    d = correlators(b)[_orbit_gather(n)]
+    forms = d.reshape(-1, size) @ _weighted_hadamard(w.shape, w.tobytes())
+    return forms.reshape(-1, w.shape[1], size)
+
+
+@functools.cache
+def _orbit_gather(n: int) -> np.ndarray:
+    """(N!, 2^N, 2^N) uint8 index moved(x ⊕ flip) = moved(x) ⊕ moved(flip)
+    of every (permutation, flip, x), for the gather in orbit_forms.
+    Shared, so read-only."""
+    moved = _permuted_bits(n).astype(np.uint8)
+    gather = moved[:, :, None] ^ moved[:, None, :]
+    gather.setflags(write=False)
+    return gather
+
+
+@functools.lru_cache(maxsize=16)
+def _weighted_hadamard(shape: tuple[int, int], packed: bytes) -> np.ndarray:
+    """(2^N, J 2^N) product weights ⊗ H of orbit_forms, keyed by the float
+    weights' shape and bytes, so each criterion's weights build it once.
+    Shared, so read-only."""
+    size, cols = shape
+    weights = np.frombuffer(packed).reshape(shape)
+    n = size.bit_length() - 1
+    wh = (weights[:, :, None] * _walsh_hadamard(n)[:, None, :]).reshape(
+        size, cols * size)
+    wh.setflags(write=False)
+    return wh
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +577,13 @@ def _bits_indices(n: int) -> dict[Bits, int]:
     return {bits: i for i, bits in enumerate(bit_tuples(n))}
 
 
-def _table_entries(rows: list, n: int) -> tuple[np.ndarray, list]:
-    """(flat table index, p) of every nsbox-v1 entry.  The checks run over
-    all entries at once; _raise_row_error names the entry that failed."""
+def _table_entries(rows: list, n: int, sizes: Sequence[int] = ()
+                   ) -> np.ndarray:
+    """The (T, 2^N, 2^N) stack of the tables that the nsbox-v1 entries in
+    rows list, omitted entries 0: table k holds the sizes[k] rows after
+    those of tables 0..k-1 (default: one table of every row).  The checks
+    run over all entries at once; _raise_row_error names the entry that
+    failed by its index in rows."""
     try:
         bit_lists = (list(map(itemgetter("x"), rows))
                      + list(map(itemgetter("a"), rows)))
@@ -528,15 +602,19 @@ def _table_entries(rows: list, n: int) -> tuple[np.ndarray, list]:
         _raise_row_error(rows, n)
     flat = np.array(idx, dtype=np.int64).reshape(2, -1)
     flat = flat[0] * 2**n + flat[1]
+    count = len(sizes) or 1
+    if sizes:  # each table's entries count from its own offset
+        flat += np.repeat(np.arange(count) * 4**n, sizes)
     if len(set(flat.tolist())) != len(rows):
         _raise_row_error(rows, n)
-    return flat, ps
+    t = np.zeros(count * 4**n)
+    t[flat] = ps
+    return t.reshape(count, 2**n, 2**n)
 
 
-def from_json_obj(obj: Mapping) -> Behavior:
-    """Parse a strict nsbox-v1 object.  Omitted entries are 0; bits must be
-    the ints 0 or 1, each (x, a) may appear once and p must be a finite
-    number.  Every failure raises StructureError."""
+def _behavior_rows(obj) -> tuple[int, list]:
+    """(parties, table entries) of an nsbox-v1 object whose format,
+    party count and table type pass; the entries are not checked."""
     if not isinstance(obj, Mapping):
         raise StructureError("behavior JSON must be an object")
     if obj.get("format") != JSON_FORMAT:
@@ -551,10 +629,15 @@ def from_json_obj(obj: Mapping) -> Behavior:
     rows = obj.get("table", [])
     if not isinstance(rows, list):
         raise StructureError("table must be a JSON array")
-    flat, p = _table_entries(rows, n)
-    t = np.zeros(4**n)  # omitted entries default to 0
-    t[flat] = p
-    return Behavior(n, t.reshape(2**n, 2**n))
+    return n, rows
+
+
+def from_json_obj(obj: Mapping) -> Behavior:
+    """Parse a strict nsbox-v1 object.  Omitted entries are 0; bits must be
+    the ints 0 or 1, each (x, a) may appear once and p must be a finite
+    number.  Every failure raises StructureError."""
+    n, rows = _behavior_rows(obj)
+    return Behavior(n, _table_entries(rows, n)[0])
 
 
 def save_behavior(b: Behavior, path) -> None:
@@ -585,6 +668,32 @@ class CatalogEntry:
     behavior: Behavior
 
 
+def _catalog_class(i: int, item, seen: set[int]) -> int:
+    """The class id of catalog entry i, checked like its keys and added to
+    seen, the ids of the entries before it."""
+    if not isinstance(item, Mapping):
+        raise StructureError(f"catalog entry {i} is not an object")
+    if "class" not in item or "behavior" not in item:
+        raise StructureError(f"catalog entry {i} lacks class/behavior keys")
+    class_id = item["class"]
+    if type(class_id) is not int:
+        raise StructureError(f"catalog entry {i}: class must be an "
+                             f"integer, got {class_id!r}")
+    if class_id in seen:
+        raise StructureError(f"catalog entry {i} repeats class {class_id}")
+    seen.add(class_id)
+    return class_id
+
+
+def _raise_first_failure(entries: Sequence[CatalogEntry],
+                         failed: Mapping[int, ValidationReport]) -> None:
+    if failed:
+        i = min(failed)
+        raise ValueError(
+            f"catalog entry {i} (class {entries[i].class_id}) fails "
+            f"validation:\n" + failed[i].summary())
+
+
 def _check_catalog(entries: Sequence[CatalogEntry]) -> None:
     """Raise for the first entry that fails validation: one stacked check
     per party count."""
@@ -596,11 +705,36 @@ def _check_catalog(entries: Sequence[CatalogEntry]) -> None:
         reports = _validate_stack(
             np.stack([entries[i].behavior.table for i in rows]))
         failed.update((i, r) for i, r in zip(rows, reports) if not r.ok)
-    if failed:
-        i = min(failed)
-        raise ValueError(
-            f"catalog entry {i} (class {entries[i].class_id}) fails "
-            f"validation:\n" + failed[i].summary())
+    _raise_first_failure(entries, failed)
+
+
+def _load_stacked(data: list) -> list[CatalogEntry]:
+    """The catalog entries of data, parsed with one _table_entries call
+    and validated with one _validate_stack call per party count.  Raises
+    StructureError for any malformed entry, without naming the first."""
+    seen: set[int] = set()
+    class_ids, by_parties = [], {}
+    for i, item in enumerate(data):
+        class_ids.append(_catalog_class(i, item, seen))
+        n, rows = _behavior_rows(item["behavior"])
+        by_parties.setdefault(n, []).append((i, rows))
+    behaviors: list = [None] * len(data)
+    failed = {}
+    for n, group in by_parties.items():
+        tables = _table_entries(
+            list(itertools.chain.from_iterable(rows for _, rows in group)),
+            n, [len(rows) for _, rows in group])
+        # Behavior's clamp, on the whole stack; no entry is NaN
+        tables[(tables < 0.0) & (tables >= -ENTRY_CLAMP)] = 0.0
+        tables.setflags(write=False)
+        reports = _validate_stack(tables)
+        for (i, _), table, report in zip(group, tables, reports):
+            behaviors[i] = _wrap(n, table)
+            if not report.ok:
+                failed[i] = report
+    entries = list(map(CatalogEntry, class_ids, behaviors))
+    _raise_first_failure(entries, failed)
+    return entries
 
 
 def load_catalog(path) -> list[CatalogEntry]:
@@ -609,28 +743,21 @@ def load_catalog(path) -> list[CatalogEntry]:
     Class ids must be integers, each listed once.  Every behavior is
     validated; entries that fail validation abort the load.  The first bad
     entry in file order names the error, as if each entry were parsed and
-    validated before the next.
+    validated before the next: a catalog with a malformed entry is loaded
+    again entry by entry to find it.
     """
     data = read_json(path)
     if not isinstance(data, list):
         raise StructureError("catalog must be a JSON array")
+    try:
+        return _load_stacked(data)
+    except StructureError:
+        pass
     entries: list[CatalogEntry] = []
     seen: set[int] = set()
     try:
         for i, item in enumerate(data):
-            if not isinstance(item, Mapping):
-                raise StructureError(f"catalog entry {i} is not an object")
-            if "class" not in item or "behavior" not in item:
-                raise StructureError(f"catalog entry {i} lacks class/behavior "
-                                     f"keys")
-            class_id = item["class"]
-            if type(class_id) is not int:
-                raise StructureError(f"catalog entry {i}: class must be an "
-                                     f"integer, got {class_id!r}")
-            if class_id in seen:
-                raise StructureError(f"catalog entry {i} repeats class "
-                                     f"{class_id}")
-            seen.add(class_id)
+            class_id = _catalog_class(i, item, seen)
             entries.append(CatalogEntry(class_id,
                                         from_json_obj(item["behavior"])))
     except StructureError:

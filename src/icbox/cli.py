@@ -65,9 +65,9 @@ def parse_box_uri(uri: str, parties: int | None = None, *,
     biased = takes.startswith("E")
     if biased and not args:
         raise ValueError(f"builtin:{name} needs :<E>[:<N>]")
-    bias = float(args[0]) if biased else None
+    bias = _uri_number(name, "E", float, args[0]) if biased else None
     if len(args) > biased:   # a party count ends the URI
-        n = int(args[-1])
+        n = _uri_number(name, "N", int, args[-1])
         if parties not in (None, n):
             raise ValueError(f"--parties {parties} conflicts with URI party "
                              f"count {n}")
@@ -79,6 +79,17 @@ def parse_box_uri(uri: str, parties: int | None = None, *,
                          f"(URI suffix or --parties)")
     return named_box(box, parties=default if parties is None else parties,
                      bias=bias)
+
+
+def _uri_number(name: str, role: str, kind: type, text: str):
+    """The URI argument text read as kind (float or int); the error names
+    the URI and the argument's role."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"builtin:{name}: {role} must be {what}, got "
+                         f"{text!r}") from None
 
 
 def _bundled_catalog_path() -> str:

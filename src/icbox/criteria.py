@@ -301,11 +301,14 @@ def eval_noisy_ic(b: Behavior, epsilon: float) -> CriterionReport:
 def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
              epsilon: float | None = None) -> CriterionReport:
     """Dispatch a criterion id against a behavior, building the task joints
-    when the criterion needs them.  Every criterion first refuses a table
-    that _require_normalized refuses."""
+    when the criterion needs them.  Every criterion refuses a table that
+    _require_normalized refuses, checked once: ic-noisy with an epsilon
+    leaves the check to eval_noisy_ic, after its epsilon check."""
     if criterion_id not in CRITERION_IDS:
         raise ValueError(f"unknown criterion {criterion_id!r}; "
                          f"known: {', '.join(CRITERION_IDS)}")
+    if criterion_id == "ic-noisy" and epsilon is not None:
+        return eval_noisy_ic(b, epsilon)
     _require_normalized(b)
     if criterion_id in ("ic-bipartite", "ic-bipartite-strong", "ic-multi"):
         if criterion_id != "ic-multi" and b.parties != 2:
@@ -326,6 +329,4 @@ def evaluate(criterion_id: str, b: Behavior, *, depth: int | None = None,
             raise ValueError(f"{criterion_id} needs a {criterion_id[-1]}-party "
                              f"behavior")
         return eval_uffink(b)
-    if epsilon is None:
-        raise ValueError("ic-noisy needs a channel epsilon")
-    return eval_noisy_ic(b, epsilon)
+    raise ValueError("ic-noisy needs a channel epsilon")

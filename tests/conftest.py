@@ -281,6 +281,61 @@ def noisy_ic_oracle(b: Behavior, epsilon: float) -> CriterionReport:
     return _report("ic-noisy", lhs, rhs, details)
 
 
+def subset_loop_reports(t: np.ndarray, atol: float = bh.PROB_TOL
+                        ) -> list[bh.ValidationReport]:
+    """ValidationReport of every table in the (E, 2^N, 2^N) stack t, with
+    no-signaling checked by the subset loop alone: for every nonempty
+    proper subset S of parties, the largest spread of a marginal entry of
+    S's outcomes across the inputs outside S.  The reference for
+    behaviors._validate_stack, which runs this loop only for the tables
+    that its Walsh–Hadamard bound cannot clear."""
+    e, size, _ = t.shape
+    n = size.bit_length() - 1
+    lowest = t.min(axis=(1, 2))
+    row_sums = t.sum(axis=2)
+    off = np.abs(row_sums - 1.0)
+    worst_off = off.max(axis=1)
+    tens = t.reshape((e,) + (2,) * (2 * n))
+    spreads = []
+    for _, outcomes, inputs in bh._outside_axes(n):
+        marg = tens.sum(axis=outcomes)
+        spreads.append(marg.max(axis=inputs) - marg.min(axis=inputs))
+    worst_spread = np.concatenate([s.reshape(e, -1) for s in spreads],
+                                  axis=1).max(axis=1)
+    failing = ((lowest < -bh.ENTRY_CLAMP) | (worst_off > atol)
+               | (worst_spread > atol))
+    reports = [bh.ValidationReport(n)] * e
+    for i in np.flatnonzero(failing).tolist():
+        found = []
+        if lowest[i] < -bh.ENTRY_CLAMP:
+            xi, ai = divmod(int(np.argmin(t[i])), size)
+            found.append(bh.ConstraintViolation(
+                "nonnegativity",
+                f"entry x={bh.index_to_tuple(xi, n)} "
+                f"a={bh.index_to_tuple(ai, n)}",
+                float(-lowest[i])))
+        if worst_off[i] > atol:
+            xi = int(np.argmax(off[i]))
+            found.append(bh.ConstraintViolation(
+                "normalization",
+                f"input x={bh.index_to_tuple(xi, n)} sums to "
+                f"{row_sums[i, xi]:.12g}",
+                float(worst_off[i])))
+        for (names, _, _), spread in zip(bh._outside_axes(n), spreads):
+            spread = spread[i]
+            worst = float(spread.max())
+            if worst > atol:
+                loc = np.unravel_index(int(np.argmax(spread)), spread.shape)
+                found.append(bh.ConstraintViolation(
+                    "no-signaling",
+                    f"marginal of parties {{{names}}} varies with outside "
+                    f"inputs (at x_S,a_S index "
+                    f"{tuple(int(v) for v in loc)})",
+                    worst))
+        reports[i] = bh.ValidationReport(n, tuple(found))
+    return reports
+
+
 def sequential_load_catalog(path) -> list[bh.CatalogEntry]:
     """load_catalog as a plain loop: parse entry i, validate it, then go on
     to entry i + 1.  The reference for the order of load_catalog's errors."""

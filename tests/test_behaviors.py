@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (behaviors_close, make_svetlichny, oracle_orbit_forms,
                       random_local_mixture, random_ns_box,
-                      sequential_load_catalog)
+                      random_signaling_box, sequential_load_catalog,
+                      subset_loop_reports)
 from icbox import behaviors as bh
 from icbox.criteria import _UFFINK3_WEIGHTS
 from icbox.protocol import bias_weights
@@ -258,7 +259,7 @@ def test_orbit_forms_match_relabeled_tables(n):
 
 
 def test_orbit_index_size_and_party_limit():
-    # the orbit's only cache is the (N!, 2^N) table of permuted bits
+    # the (N!, 2^N) table of permuted bits, which the gather index reads
     assert bh._permuted_bits(6).nbytes <= 360 * 2 ** 10
     assert bh._permuted_bits(3).shape == (6, 8)
     assert not bh._permuted_bits(3).flags.writeable
@@ -597,6 +598,164 @@ def test_stacked_check_agrees_with_validate_at_the_tolerance(parties):
     assert [r.ok for r in stacked] == [r.ok for r in reports]
     assert [r.summary() for r in stacked] == [r.summary() for r in reports]
     assert [r.ok for r in reports] == [True] * 6 + [False] * 6
+
+
+def _spectrum_bound(t: np.ndarray) -> float:
+    """2^-N sum over α ⊄ β of |F[α, β]|, F = H t H with
+    H[x, α] = (-1)^|α & x|, built here from the popcounts: the bound on
+    every marginal spread that _validate_stack's docstring states."""
+    size = t.shape[0]
+    n = size.bit_length() - 1
+    idx = np.arange(size)
+    popcount = np.array([bin(v).count("1") for v in range(size)])
+    h = (-1.0) ** popcount[idx[:, None] & idx]
+    outside = (idx[:, None] & ~idx[None, :]) != 0
+    return float(np.abs(h @ t @ h)[outside].sum()) / 2 ** n
+
+
+def _relabeled(b: bh.Behavior, rng: np.random.Generator) -> bh.Behavior:
+    """b under a random party permutation, input flip and output map."""
+    n = b.parties
+    bits = rng.integers(0, 2, (3, n)).tolist()
+    b = bh.permute_parties(b, rng.permutation(n).tolist())
+    return bh.relabel_outputs(bh.flip_inputs(b, bits[0]), bits[1], bits[2])
+
+
+def _marginal_moved(b: bh.Behavior, rng: np.random.Generator,
+                    shift: float) -> np.ndarray:
+    """b's table with shift moved, within one row, from the largest entry
+    whose party-k outcome is 1 to the entry with that outcome 0: one
+    party's marginal at one input changes by shift, the row sum does
+    not, and no entry goes negative."""
+    n = b.parties
+    t = b.table.copy()
+    x = int(rng.integers(2 ** n))
+    bit = 1 << int(rng.integers(n))
+    has_bit = (np.arange(2 ** n) & bit) != 0
+    source = int(np.argmax(np.where(has_bit, t[x], -1.0)))
+    t[x, source] -= shift
+    t[x, source ^ bit] += shift
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(parties=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       relabel=st.booleans(),
+       scale=st.sampled_from([0.0, 0.01, 0.3, 0.49, 0.51, 0.99, 1.01, 3.0]))
+def test_validate_equals_the_subset_loop(parties, seed, relabel, scale):
+    """validate reports what the subset loop reports, to the bit, on
+    no-signaling mixtures, their relabelings and one-marginal moves of
+    scale * PROB_TOL around the tolerance."""
+    rng = np.random.default_rng(seed)
+    b = random_ns_box(rng, parties)
+    if relabel:
+        b = _relabeled(b, rng)
+    if scale:
+        b = bh.Behavior(parties, _marginal_moved(b, rng,
+                                                 scale * bh.PROB_TOL))
+    want = subset_loop_reports(b.table[None])[0]
+    assert bh.validate(b) == want
+    assert want.ok == (scale < 1.0)
+
+
+def test_valid_tables_skip_the_subset_loop(monkeypatch):
+    """The Walsh–Hadamard bound clears no-signaling mixtures, their
+    relabelings and a 0.001 PROB_TOL marginal move without the loop."""
+    rng = np.random.default_rng(29)
+    boxes = []
+    for parties in range(2, 7):
+        b = random_ns_box(rng, parties)
+        boxes += [b, _relabeled(b, rng), bh.Behavior(
+            parties, _marginal_moved(b, rng, 1e-3 * bh.PROB_TOL))]
+
+    def no_loop(n):
+        raise AssertionError("the subset loop ran")
+
+    monkeypatch.setattr(bh, "_outside_axes", no_loop)
+    assert all(bh.validate(b).ok for b in boxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parties=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       nudge=st.sampled_from([0.0, 1e-10, 1e-6, 1e-2]))
+def test_spectrum_bound_covers_every_spread(parties, seed, nudge):
+    """On signaling tables, random or a nudge away from no-signaling, the
+    stated bound is at least the largest spread the subset loop finds."""
+    rng = np.random.default_rng(seed)
+    signaling = random_signaling_box(rng, parties).table
+    ns = random_ns_box(rng, parties).table
+    for t in (signaling, (1.0 - nudge) * ns + nudge * signaling):
+        report = subset_loop_reports(t[None], atol=0.0)[0]
+        spread = max((v.magnitude for v in report.violations
+                      if v.constraint == "no-signaling"), default=0.0)
+        assert spread <= _spectrum_bound(t) * (1.0 + 1e-12) + 1e-15
+        weights = bh._signaling_weights(parties)
+        stated = np.abs(bh._walsh_hadamard(parties) @ t
+                        @ bh._walsh_hadamard(parties)).ravel() @ weights
+        assert _spectrum_bound(t) <= stated * (0.5 + 1e-12) + 1e-15
+
+
+def _catalog_behavior(rng: np.random.Generator, parties: int) -> dict:
+    """nsbox-v1 object of a random box with omitted entries, integer p
+    values and entries of -1e-13 that Behavior clamps to 0."""
+    if rng.random() < 0.3:   # a deterministic box: p values the ints 0, 1
+        funcs = rng.integers(0, 2, (parties, 2)).tolist()
+        obj = bh.to_json_obj(bh.local_deterministic(parties, funcs))
+        for row in obj["table"]:
+            row["p"] = int(row["p"])
+    else:
+        obj = bh.to_json_obj(random_ns_box(rng, parties))
+    rows = obj["table"]
+    rng.shuffle(rows)
+    present = {(tuple(r["x"]), tuple(r["a"])) for r in rows}
+    for _ in range(int(rng.integers(0, 3))):
+        x, a = (bh.index_to_tuple(int(v), parties)
+                for v in rng.integers(2 ** parties, size=2))
+        if (x, a) not in present:
+            present.add((x, a))
+            rows.append({"x": list(x), "a": list(a), "p": -1e-13})
+    if rng.random() < 0.3:
+        rows.append({"x": [0] * parties, "a": [1] * parties, "p": 0})
+        if (tuple(rows[-1]["x"]), tuple(rows[-1]["a"])) in present:
+            rows.pop()
+    return obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(parties=st.lists(st.integers(2, 6), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_load_equals_from_json_obj(tmp_path_factory, parties, seed):
+    rng = np.random.default_rng(seed)
+    items = [{"class": i, "behavior": _catalog_behavior(rng, n)}
+             for i, n in enumerate(parties)]
+    path = tmp_path_factory.mktemp("catalog") / "cat.json"
+    path.write_text(json.dumps(items))
+    with pytest.MonkeyPatch.context() as patch:   # one pass, no fallback
+        patch.setattr(bh, "from_json_obj", None)
+        loaded = bh.load_catalog(path)
+    assert [e.class_id for e in loaded] == list(range(len(parties)))
+    for entry, item in zip(loaded, json.loads(path.read_text())):
+        want = bh.from_json_obj(item["behavior"])
+        assert entry.behavior.parties == want.parties
+        assert entry.behavior.table.tobytes() == want.table.tobytes()
+        assert not entry.behavior.table.flags.writeable
+
+
+def test_orbit_caches_are_shared_and_read_only():
+    gather = bh._orbit_gather(3)
+    assert gather.dtype == np.uint8 and gather.nbytes == 384
+    assert bh._orbit_gather(6).nbytes == 720 * 64 * 64
+    assert bh._orbit_gather(3) is gather
+    assert bh._signaling_weights(3).nbytes == 512
+    assert bh._signaling_weights(6).nbytes == 32 * 2 ** 10
+    b = bh.named_box("isotropic", bias=0.9)
+    bh.orbit_forms(b, bias_weights(3))
+    first = bh._weighted_hadamard.cache_info()
+    bh.orbit_forms(b, bias_weights(3))
+    assert bh._weighted_hadamard.cache_info().hits == first.hits + 1
+    for cache in (gather, bh._signaling_weights(3),
+                  bh._weighted_hadamard((8, 2), bias_weights(3).tobytes())):
+        assert not cache.flags.writeable
 
 
 def test_behaviors_close():

@@ -98,6 +98,12 @@ def test_box_uri_party_conflicts(capsys):
     (("eval", "--box", "builtin:box45", "--criterion", "ic-multi",
       "--criterion", "ic-multicopy"),
      "exactly one --criterion expected here"),
+    (("protocol", "--box", "builtin:isotropic:x"),
+     "builtin:isotropic: E must be a number, got 'x'"),
+    (("protocol", "--box", "builtin:white:x"),
+     "builtin:white: N must be an integer, got 'x'"),
+    (("protocol", "--box", "builtin:isotropic:0.5:x"),
+     "builtin:isotropic: N must be an integer, got 'x'"),
 ])
 def test_box_uri_and_criterion_errors(tmp_path, capsys, argv, message):
     path = tmp_path / "box45.json"

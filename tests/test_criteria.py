@@ -364,6 +364,37 @@ def test_noisy_and_multi_refuse_unnormalized_tables():
     assert evaluate("ic-noisy", Behavior(3, table), epsilon=0.1).violated
 
 
+def test_each_evaluate_checks_the_table_once(monkeypatch):
+    calls = []
+    original = criteria._require_normalized
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(criteria, "_require_normalized", counted)
+    box = named_box("isotropic", bias=0.8)
+    for cid, kwargs in [("ic-noisy", {"epsilon": 0.1}),
+                        ("ic-noisy", {"epsilon": 0.5}),
+                        ("ic-multi", {}), ("ic-multicopy", {}),
+                        ("ic-success-bound", {"depth": 2}),
+                        ("uffink-3", {})]:
+        calls.clear()
+        evaluate(cid, box, **kwargs)
+        assert calls == [box], cid
+    # eval_noisy_ic called directly still checks its table, once
+    calls.clear()
+    eval_noisy_ic(box, 0.1)
+    assert calls == [box]
+    with pytest.raises(ValueError, match="sums to 2.0"):
+        eval_noisy_ic(Behavior(3, 2 * named_box("box45").table), 0.1)
+    with pytest.raises(ValueError, match="negative entry"):
+        eval_noisy_ic(_negative_entry_box(), 0.1)
+    # without an epsilon the table is checked before the missing epsilon
+    with pytest.raises(ValueError, match="sums to 2.0"):
+        evaluate("ic-noisy", Behavior(3, 2 * named_box("box45").table))
+
+
 @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
 def test_noisy_reads_no_joint_and_no_entropy(parties, monkeypatch):
     """ic-noisy is a closed form in the biases: evaluate never reaches a
