@@ -685,15 +685,6 @@ def _catalog_class(i: int, item, seen: set[int]) -> int:
     return class_id
 
 
-def _raise_first_failure(entries: Sequence[CatalogEntry],
-                         failed: Mapping[int, ValidationReport]) -> None:
-    if failed:
-        i = min(failed)
-        raise ValueError(
-            f"catalog entry {i} (class {entries[i].class_id}) fails "
-            f"validation:\n" + failed[i].summary())
-
-
 def _check_catalog(entries: Sequence[CatalogEntry]) -> None:
     """Raise for the first entry that fails validation: one stacked check
     per party count."""
@@ -705,12 +696,16 @@ def _check_catalog(entries: Sequence[CatalogEntry]) -> None:
         reports = _validate_stack(
             np.stack([entries[i].behavior.table for i in rows]))
         failed.update((i, r) for i, r in zip(rows, reports) if not r.ok)
-    _raise_first_failure(entries, failed)
+    if failed:
+        i = min(failed)
+        raise ValueError(
+            f"catalog entry {i} (class {entries[i].class_id}) fails "
+            f"validation:\n" + failed[i].summary())
 
 
 def _load_stacked(data: list) -> list[CatalogEntry]:
     """The catalog entries of data, parsed with one _table_entries call
-    and validated with one _validate_stack call per party count.  Raises
+    per party count and validated by _check_catalog.  Raises
     StructureError for any malformed entry, without naming the first."""
     seen: set[int] = set()
     class_ids, by_parties = [], {}
@@ -718,8 +713,7 @@ def _load_stacked(data: list) -> list[CatalogEntry]:
         class_ids.append(_catalog_class(i, item, seen))
         n, rows = _behavior_rows(item["behavior"])
         by_parties.setdefault(n, []).append((i, rows))
-    behaviors: list = [None] * len(data)
-    failed = {}
+    behaviors = {}
     for n, group in by_parties.items():
         tables = _table_entries(
             list(itertools.chain.from_iterable(rows for _, rows in group)),
@@ -727,13 +721,9 @@ def _load_stacked(data: list) -> list[CatalogEntry]:
         # Behavior's clamp, on the whole stack; no entry is NaN
         tables[(tables < 0.0) & (tables >= -ENTRY_CLAMP)] = 0.0
         tables.setflags(write=False)
-        reports = _validate_stack(tables)
-        for (i, _), table, report in zip(group, tables, reports):
-            behaviors[i] = _wrap(n, table)
-            if not report.ok:
-                failed[i] = report
-    entries = list(map(CatalogEntry, class_ids, behaviors))
-    _raise_first_failure(entries, failed)
+        behaviors.update((i, _wrap(n, t)) for (i, _), t in zip(group, tables))
+    entries = [CatalogEntry(c, behaviors[i]) for i, c in enumerate(class_ids)]
+    _check_catalog(entries)
     return entries
 
 

@@ -110,8 +110,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "fail_on_violation": {"action": "store_true"},
     "emit": {"action": "store_true", "help": "write the behavior as JSON"},
     "closed": {"action": "store_true",
-               "help": "use the closed form in the box biases instead of "
-                       "exact enumeration"},
+               "help": "no effect: concat always reads the closed form "
+                       "(kept for old scripts)"},
     "slice": {},
     "grid_step": {"type": float},
     "epsilon_slice": {"type": float},
@@ -154,16 +154,38 @@ def _load_config(path: str) -> dict[str, Any]:
     unknown = set(obj) - set(_FLAGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return {k: _from_config(_FLAGS[k], v) for k, v in obj.items()}
+    return {k: _from_config(k, v) for k, v in obj.items()}
 
 
-def _from_config(flag: dict[str, Any], value: Any) -> Any:
-    """A string value is read as the flag's command-line text."""
-    if not isinstance(value, str):
-        return value
-    if flag.get("action") == "append":
-        return [value]
-    return flag["type"](value) if "type" in flag else value
+def _from_config(key: str, value: Any) -> Any:
+    """The config value of a flag: a string is read as the flag's
+    command-line text; a typed flag also takes a JSON number of its type, a
+    switch takes only true or false, and criterion a list of strings.  Any
+    other value raises ValueError naming the key."""
+    flag = _FLAGS[key]
+    kind = flag.get("type")
+    want = "an integer" if kind is int else "a number"
+    if flag.get("action") == "store_true":
+        if type(value) is bool:
+            return value
+        want = "true or false"
+    elif flag.get("action") == "append":
+        if isinstance(value, str):
+            return [value]
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return value
+        want = "a string or a list of strings"
+    elif kind is None:
+        if isinstance(value, str):
+            return value
+        want = "a string"
+    elif isinstance(value, str) or type(value) in (int, kind):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"config key {key!r} must be {want}, got "
+                     f"{behaviors._brief(value)}")
 
 
 def _write_json(out: TextIO, obj: Any) -> None:
@@ -267,15 +289,10 @@ def _cmd_concat(args: argparse.Namespace) -> int:
         raise ValueError("--z is required")
     if any(ch not in "01" for ch in args.z):
         raise ValueError(f"--z must be a bitstring, got {args.z!r}")
-    zbits = tuple(int(ch) for ch in args.z)
-    if len(zbits) != args.depth:
-        raise ValueError(f"--z must have {args.depth} bits, got {len(zbits)}")
-    if args.closed:
-        e_one, e_two = protocol.biases(box)
-        value = protocol.concat_success_closed(e_one, e_two, args.depth,
-                                               sum(zbits))
-    else:
-        value = protocol.concat_success_simulated(box, args.depth, zbits)
+    if len(args.z) != args.depth:
+        raise ValueError(f"--z must have {args.depth} bits, got {len(args.z)}")
+    value = protocol.concat_success_closed(*protocol.biases(box), args.depth,
+                                           args.z.count("1"))
     with _output(args.out) as out:
         out.write(_fmt(value) + "\n")
     return 0
@@ -283,7 +300,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     """grid scan of the default slice, CSV output"""
-    ids = args.criterion or ["ic-multi", "ic-multicopy"]
+    ids = args.criterion or scan.DEFAULT_SCAN_CRITERIA
     spec = _slice_from_arg(args.slice, args.grid_step, ids)
     rows = scan.scan_slice(spec, depth=args.depth,
                            epsilon_channel=args.epsilon_channel)

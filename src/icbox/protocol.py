@@ -213,7 +213,12 @@ def biases(b: Behavior) -> tuple[float, float]:
 
 def concat_success_closed(e_one: float, e_two: float, depth: int, ones: int) -> float:
     """Success of the depth-K tree when the path uses `ones` z-bits equal 1:
-    (1 + E_I^(K-r) E_II^r) / 2."""
+    (1 + E_I^(K-r) E_II^r) / 2, exact for any table of distributions.  Each
+    level's box input XORs in the unselected subtree's message vector, a
+    one-time pad (see concat_success_simulated), so it is uniform and
+    independent of the selected subtree's carried error.  The level's own
+    error, of bias E_I (z = 0) or E_II (z = 1), is then independent of it,
+    and the XOR of independent errors has the product of their biases."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0 <= ones <= depth:

@@ -24,6 +24,8 @@ from .criteria import (VIOLATION_TOL, CriterionReport, eval_uffink,
 
 BISECTION_TOL = 1e-6
 DEFAULT_GRID_STEP = 0.01
+MIN_GRID_STEP = 1e-4     # about 5e7 grid points already
+DEFAULT_SCAN_CRITERIA = ("ic-multi", "ic-multicopy")
 
 CSV_HEADER = ("gamma", "epsilon", "criterion", "lhs", "rhs", "margin",
               "violated")
@@ -43,7 +45,7 @@ class SliceSpec:
 
     generators: tuple[Behavior, Behavior, Behavior]
     grid_step: float = DEFAULT_GRID_STEP
-    criteria: tuple[str, ...] = ("ic-multi", "ic-multicopy")
+    criteria: tuple[str, ...] = DEFAULT_SCAN_CRITERIA
 
     def __post_init__(self) -> None:
         if len(self.generators) != 3:
@@ -51,16 +53,16 @@ class SliceSpec:
         parties = {g.parties for g in self.generators}
         if len(parties) != 1:
             raise ValueError("slice generators must share the party count")
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ValueError(f"grid step must be in (0, 1], got "
-                             f"{self.grid_step}")
+        if not MIN_GRID_STEP <= self.grid_step <= 1.0:
+            raise ValueError(f"grid step must be in [{MIN_GRID_STEP:g}, 1], "
+                             f"got {self.grid_step}")
 
     @property
     def parties(self) -> int:
         return self.generators[0].parties
 
 
-def default_slice(criteria: Sequence[str] = ("ic-multi", "ic-multicopy"),
+def default_slice(criteria: Sequence[str] = DEFAULT_SCAN_CRITERIA,
                   grid_step: float = DEFAULT_GRID_STEP) -> SliceSpec:
     return SliceSpec(
         generators=(named_box("box45", parties=3),

@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from conftest import random_ns_box
 from icbox import cli, scan
 from icbox.behaviors import named_box, save_behavior, to_json_obj
+from icbox.protocol import concat_success_simulated
 
 
 def run(capsys, *argv):
@@ -154,6 +157,35 @@ def test_concat_z_length_must_match_depth(capsys, closed, z):
     assert "--z must have 3 bits" in err
 
 
+@pytest.mark.parametrize("parties", range(2, 7))
+def test_concat_reads_one_path(tmp_path, capsys, parties):
+    """concat prints the closed form, within 1e-12 of the exact enumeration,
+    and the same bytes with --closed, without it and with config closed."""
+    path = tmp_path / "random.json"
+    save_behavior(random_ns_box(np.random.default_rng(parties), parties),
+                  path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"closed": True}))
+    n = parties
+    uris = ["builtin:pr"] if n == 2 else [f"builtin:box45:{n}",
+                                          f"builtin:isotropic:0.35:{n}"]
+    uris += [f"builtin:white:{n}", f"builtin:detzero:{n}",
+             f"builtin:isotropic:0.7:{n}", f"file:{path}"]
+    for uri in uris:
+        box = cli.parse_box_uri(uri)
+        for depth in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=depth):
+                flags = ("concat", "--box", uri, "--depth", str(depth),
+                         "--z", "".join(map(str, bits)))
+                code, out, err = run(capsys, *flags)
+                assert (code, err) == (0, "")
+                want = concat_success_simulated(box, depth, bits)
+                assert abs(float(out) - want) <= 1e-12, (uri, bits)
+                assert run(capsys, *flags, "--closed") == (0, out, "")
+                assert run(capsys, *flags, "--config", str(cfg)) == (0, out,
+                                                                      "")
+
+
 def test_protocol_has_no_channel_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["protocol", "--box", "builtin:box45",
@@ -213,6 +245,28 @@ def test_scan_csv(tmp_path, capsys):
                      "--criterion", "ic-multicopy", "--out", str(path),
                      "--fail-on-violation")
     assert code == 1
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-5", "0", "nan"])
+def test_scan_refuses_grid_steps_below_the_bound(capsys, step):
+    code, out, err = run(capsys, "scan", "--grid-step", step)
+    assert (code, out) == (2, "")
+    assert err == (f"error: grid step must be in [0.0001, 1], got "
+                   f"{float(step)}\n")
+
+
+def test_grid_steps_down_to_the_bound_scan(capsys, monkeypatch):
+    """A step of 0.001 reaches scan_slice (its 1001 x 1001 grid is not run
+    here) and so does the bound itself."""
+    specs = []
+    monkeypatch.setattr(scan, "scan_slice",
+                        lambda spec, **kw: specs.append(spec) or [])
+    for step in ("0.001", "1e-4"):
+        assert run(capsys, "scan", "--grid-step", step) == (
+            0, ",".join(scan.CSV_HEADER) + "\n", "")
+    assert [s.grid_step for s in specs] == [0.001, scan.MIN_GRID_STEP]
+    grid = scan._grid(0.001)
+    assert len(grid) == 1001 and grid[-1] == 1.0
 
 
 def test_scan_slice_of_generator_files(tmp_path, capsys):
@@ -359,6 +413,68 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--config", str(tmp_path / "none.json"),
                        "--box", "builtin:pr", "--criterion", "ic-bipartite")
     assert code == 2
+
+
+BOX = {"box": "builtin:isotropic:0.7"}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("boundary", {"criterion": "ic-multicopy", "epsilon_slice": 0,
+                  "tol": True}, "tol"),
+    ("eval", {**BOX, "criterion": "ic-multi", "out": 2}, "out"),
+    ("concat", {**BOX, "depth": 1.5, "z": "0"}, "depth"),
+    ("concat", {**BOX, "depth": True, "z": "0"}, "depth"),
+    ("concat", {**BOX, "depth": "1.5", "z": "0"}, "depth"),
+    ("concat", {**BOX, "depth": 1, "z": 0}, "z"),
+    ("eval", {**BOX, "criterion": 5}, "criterion"),
+    ("eval", {**BOX, "criterion": ["ic-multi", 1]}, "criterion"),
+    ("eval", {"box": ["x"], "criterion": "ic-multi"}, "box"),
+    ("eval", {**BOX, "criterion": "ic-multi", "parties": 3.0}, "parties"),
+    ("eval", {**BOX, "criterion": "ic-noisy", "epsilon_channel": "x"},
+     "epsilon_channel"),
+    ("eval", {**BOX, "criterion": "ic-multi", "json": "false"}, "json"),
+    ("eval", {**BOX, "criterion": "ic-multi", "json": 1}, "json"),
+    ("scan", {"slice": 5}, "slice"),
+    ("scan", {"grid_step": None}, "grid_step"),
+    ("scan", {"grid_step": int("1" * 400)}, "grid_step"),
+])
+def test_config_refuses_values_of_another_type(tmp_path, capsys, command,
+                                               config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad --config: config key {key!r} must be ")
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("eval", {**BOX, "criterion": ["ic-multi"], "json": False},
+     ["--criterion", "ic-multi"]),
+    ("eval", {**BOX, "criterion": "uffink-3", "json": True},
+     ["--criterion", "uffink-3", "--json"]),
+    ("eval", {**BOX, "criterion": "ic-noisy", "epsilon_channel": 0},
+     ["--criterion", "ic-noisy", "--epsilon-channel", "0"]),
+    ("eval", {**BOX, "criterion": "ic-multi", "parties": "3"},
+     ["--criterion", "ic-multi", "--parties", "3"]),
+    ("concat", {**BOX, "depth": 2, "z": "01"}, ["--depth", "2", "--z", "01"]),
+    ("concat", {**BOX, "depth": "2", "z": "01", "closed": False},
+     ["--depth", "2", "--z", "01"]),
+    ("boundary", {"criterion": "ic-multicopy", "epsilon_slice": 0,
+                  "tol": 1e-3},
+     ["--criterion", "ic-multicopy", "--epsilon-slice", "0", "--tol", "1e-3"]),
+    ("scan", {"grid_step": "0.5", "criterion": "ic-multicopy"},
+     ["--grid-step", "0.5", "--criterion", "ic-multicopy"]),
+    ("scan", {"grid_step": 1}, ["--grid-step", "1"]),
+])
+def test_config_values_read_like_flags(tmp_path, capsys, command, config,
+                                       flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    if "box" in config:
+        flags = [*flags, "--box", config["box"]]
+    want = run(capsys, command, *flags)
+    assert want[0] == 0
+    assert run(capsys, command, "--config", str(cfg)) == want
 
 
 def test_missing_box_flag_is_usage_error(capsys):
