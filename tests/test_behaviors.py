@@ -410,7 +410,8 @@ def _mutated(obj, path, action, value):
     elif action == "delete":
         del parent[path[-1]]
     elif isinstance(parent, list):
-        parent.append(json.loads(json.dumps(parent[path[-1]])))
+        # deepcopy, not a JSON round trip: json.dumps refuses 10 ** 5000
+        parent.append(copy.deepcopy(parent[path[-1]]))
     else:
         parent[path[-1] + "_"] = value
     return obj
